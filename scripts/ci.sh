@@ -79,6 +79,12 @@ if ./build/tools/mpps check --exhaustive --fault merge-order \
   echo "model checker failed to catch an injected merge-order fault" >&2
   exit 1
 fi
+# Same for a planted drain-order fault (per-sender FIFO reversed).
+if ./build/tools/mpps check --exhaustive --fault drain-fifo \
+    > /dev/null 2>&1; then
+  echo "model checker failed to catch an injected drain-fifo fault" >&2
+  exit 1
+fi
 
 echo "=== tier-1: simulator kernel throughput smoke (BENCH_simkernel.json) ==="
 # Smoke mode (tiny traces, 2 timed iterations) exists to catch bit-rot in
@@ -175,17 +181,20 @@ echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/
 # engine on top: concurrent client threads racing through the admission
 # queue into fused phases, including the adversarial isolation suite at
 # 1/2/4/8 match threads (tests/serve_isolation_test.cpp requires a
-# TSan-clean run as part of its acceptance).
+# TSan-clean run as part of its acceptance).  The naive-oracle property
+# (tests/rete_oracle_test.cpp) runs the parallel engine at 2 and 4
+# threads on random programs with negation, fed in random-sized batches.
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build build-tsan -j --target sweep_tests pmatch_tests network_tests \
-  serve_tests mpps
+  serve_tests rete_oracle_tests mpps
 ./build-tsan/tests/sweep_tests
 ./build-tsan/tests/pmatch_tests
 ./build-tsan/tests/serve_tests
+./build-tsan/tests/rete_oracle_tests --gtest_filter='*ParallelMatches*'
 # The network layer itself is single-threaded, but the sweep engine
 # replays topology configurations across worker threads (shared
 # BaselineCache, per-run NetworkModel instances) — run the suite here so

@@ -5,6 +5,7 @@
 #include <deque>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <random>
 #include <sstream>
@@ -374,13 +375,19 @@ class Args {
     return positionals_.empty() ? std::string() : positionals_.front();
   }
 
+  /// Value of `--name <value>`, or null when the flag is absent.
+  [[nodiscard]] const std::string* find(const std::string& name) const {
+    for (const auto& [flag, value] : values_) {
+      if (flag == name) return &value;
+    }
+    return nullptr;
+  }
+
   /// Value of `--name <value>`, or `fallback`.
   [[nodiscard]] std::string value(const std::string& name,
                                   const std::string& fallback) const {
-    for (const auto& [flag, value] : values_) {
-      if (flag == name) return value;
-    }
-    return fallback;
+    const std::string* v = find(name);
+    return v == nullptr ? fallback : *v;
   }
 
   [[nodiscard]] bool flag(const std::string& name) const {
@@ -402,61 +409,54 @@ class Args {
   std::vector<std::string> positionals_;
 };
 
-long parse_long_or(const std::string& s, long fallback) {
-  long v = 0;
-  return parse_int(s, v) ? v : fallback;
+/// The largest value of T that a `long` holds.
+template <typename T>
+constexpr long max_of() {
+  return static_cast<long>(std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<long>::max()));
 }
 
-/// "1,2,4" → {1, 2, 4}.  Every field must be a positive integer; a
-/// malformed or non-positive field is a usage error naming the field (a
-/// silently dropped entry would shrink the sweep grid unnoticed).
-std::vector<std::uint32_t> parse_u32_list(const std::string& s,
-                                          const std::string& flag) {
-  std::vector<std::uint32_t> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::size_t len =
-        (comma == std::string::npos ? s.size() : comma) - start;
-    const std::string field{trim(std::string_view(s).substr(start, len))};
-    long v = 0;
-    if (!parse_int(field, v) || v <= 0) {
-      throw UsageError(flag + ": '" + field +
-                       "' is not a positive integer (in '" + s + "')");
-    }
-    out.push_back(static_cast<std::uint32_t>(v));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (out.empty()) throw UsageError(flag + ": empty list");
-  return out;
+/// The one integer reader for flag values: all of `raw` must be a base-10
+/// integer in [lo, hi] (lo is 0 or 1), else it is a UsageError naming
+/// `flag` — never a silent fallback to a default.
+long parse_int_in(const std::string& flag, std::string_view raw, long lo,
+                  long hi) {
+  long v = 0;
+  const bool is_int = parse_int(trim(raw), v);
+  if (is_int && v >= lo && v <= hi) return v;
+  const std::string what =
+      is_int && v > hi ? "is above the maximum " + std::to_string(hi)
+      : lo > 0         ? std::string("is not a positive integer")
+                       : std::string("is not a non-negative integer");
+  throw UsageError(flag + ": '" + std::string(raw) + "' " + what);
 }
 
-/// A flag whose explicit value must be a positive integer (`--match-batch
-/// 0`, `--match-mailbox 0` and garbage are usage errors, not a silent
-/// coercion to some default); returns `fallback` when the flag is absent.
-std::uint64_t parse_positive_or(const Args& args, const std::string& flag,
-                                std::uint64_t fallback) {
-  const std::string raw = args.value(flag, "");
-  if (raw.empty()) return fallback;
-  long v = 0;
-  if (!parse_int(raw, v) || v <= 0) {
-    throw UsageError(flag + ": '" + raw + "' is not a positive integer");
-  }
-  return static_cast<std::uint64_t>(v);
+/// An integer flag: `fallback` when absent, else a value in [lo, hi]
+/// (hi defaults to the largest T).
+template <typename T>
+T int_flag(const Args& args, const std::string& flag, T fallback,
+           long lo = 1, long hi = max_of<T>()) {
+  const std::string* raw = args.find(flag);
+  return raw == nullptr ? fallback
+                        : static_cast<T>(parse_int_in(flag, *raw, lo, hi));
 }
 
-/// The `--jobs N` worker-thread count; 0 (auto) when absent.  An explicit
-/// value must be a positive integer — `--jobs 0` and garbage are usage
-/// errors, not a silent fallback to auto.
-unsigned parse_jobs(const Args& args) {
-  const std::string raw = args.value("--jobs", "");
-  if (raw.empty()) return 0;
-  long v = 0;
-  if (!parse_int(raw, v) || v <= 0) {
-    throw UsageError("--jobs: '" + raw + "' is not a positive integer");
+/// An integer-list flag ("2,4,8", or "6x6" with `sep` 'x'): every field
+/// is read by parse_int_in; `fallback`, in the same syntax, when absent.
+template <typename T>
+std::vector<T> int_list_flag(const Args& args, const std::string& flag,
+                             std::string_view fallback, long lo,
+                             long hi = max_of<T>(), char sep = ',') {
+  const std::string* given = args.find(flag);
+  const std::string_view list = given == nullptr ? fallback : *given;
+  std::vector<T> out;
+  for (std::size_t start = 0;;) {
+    const std::size_t end = std::min(list.find(sep, start), list.size());
+    out.push_back(static_cast<T>(
+        parse_int_in(flag, list.substr(start, end - start), lo, hi)));
+    if (end == list.size()) return out;
+    start = end + 1;
   }
-  return static_cast<unsigned>(v);
 }
 
 std::string read_file(const std::string& path) {
@@ -536,25 +536,12 @@ sim::NetworkConfig parse_network(const Args& args, std::uint32_t total_nodes) {
       throw UsageError(std::string("--net: ") + e.what());
     }
   }
-  const std::string dims = args.value("--net-dims", "");
-  if (!dims.empty()) {
+  if (args.find("--net-dims") != nullptr) {
     if (net.kind != sim::NetKind::Mesh && net.kind != sim::NetKind::Torus) {
       throw UsageError("--net-dims only applies to --net mesh|torus");
     }
-    std::size_t start = 0;
-    while (start <= dims.size()) {
-      const std::size_t sep = dims.find('x', start);
-      const std::size_t len =
-          (sep == std::string::npos ? dims.size() : sep) - start;
-      long v = 0;
-      if (!parse_int(dims.substr(start, len), v) || v <= 0) {
-        throw UsageError("--net-dims: '" + dims.substr(start, len) +
-                         "' is not a positive dimension (in '" + dims + "')");
-      }
-      net.dims.push_back(static_cast<std::uint32_t>(v));
-      if (sep == std::string::npos) break;
-      start = sep + 1;
-    }
+    net.dims = int_list_flag<std::uint32_t>(args, "--net-dims", "", 1,
+                                            max_of<std::uint32_t>(), 'x');
   }
   for (const char* flag : {"--net-arity", "--net-levels"}) {
     if (!args.value(flag, "").empty() &&
@@ -562,12 +549,10 @@ sim::NetworkConfig parse_network(const Args& args, std::uint32_t total_nodes) {
       throw UsageError(std::string(flag) + " only applies to --net fattree");
     }
   }
-  net.arity =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--net-arity", 2));
-  net.levels =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--net-levels", 0));
-  net.hop_latency = SimTime::ns(static_cast<std::int64_t>(
-      parse_positive_or(args, "--net-hop-ns", 0)));
+  net.arity = int_flag<std::uint32_t>(args, "--net-arity", 2);
+  net.levels = int_flag<std::uint32_t>(args, "--net-levels", 0);
+  net.hop_latency =
+      SimTime::ns(int_flag<std::int64_t>(args, "--net-hop-ns", 0));
   try {
     sim::validate_network(net, total_nodes);
   } catch (const RuntimeError& e) {
@@ -616,8 +601,7 @@ void print_network_line(std::ostream& out, const sim::NetStats& net) {
 }
 
 int parse_run_model(const Args& args, int fallback) {
-  return static_cast<int>(
-      parse_long_or(args.value("--run", std::to_string(fallback)), fallback));
+  return int_flag<int>(args, "--run", fallback, 0, 4);
 }
 
 sim::CostModel cost_model_for_run(int run) {
@@ -754,16 +738,21 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   options.strategy = args.value("--strategy", "lex") == "mea"
                          ? rete::Strategy::Mea
                          : rete::Strategy::Lex;
-  options.max_cycles = static_cast<std::size_t>(
-      parse_long_or(args.value("--max-cycles", "100000"), 100000));
+  options.max_cycles = int_flag<std::size_t>(args, "--max-cycles", 100000, 0);
   const bool quiet = args.flag("--quiet");
   options.out = quiet || json ? nullptr : &out;
-  options.watch =
-      static_cast<int>(parse_long_or(args.value("--watch", "0"), 0));
+  options.watch = int_flag<int>(args, "--watch", 0, 0, 2);
   if (obs_out.any()) options.engine.metrics = &registry;
 
-  const auto match_threads = static_cast<std::uint32_t>(
-      parse_long_or(args.value("--match-threads", "0"), 0));
+  // Every integer flag is read before the run, so a malformed one fails
+  // fast even when this invocation would not use it.
+  const auto match_threads =
+      int_flag<std::uint32_t>(args, "--match-threads", 0, 0);
+  const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
+  const int run_model = parse_run_model(args, 1);
+  const std::vector<std::uint32_t> procs_list =
+      int_list_flag<std::uint32_t>(args, "--procs", "8", 1);
+  const auto jobs = int_flag<unsigned>(args, "--jobs", 0);
   if (profile && match_threads == 0) {
     throw UsageError(
         "--profile requires --match-threads (it attributes the parallel "
@@ -782,13 +771,11 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     popts.threads = match_threads;
     if (args.value("--match-assign", "rr") == "random") {
       popts.partition = pmatch::ParallelOptions::Partition::Random;
-      popts.seed = static_cast<std::uint64_t>(
-          parse_long_or(args.value("--seed", "1"), 1));
+      popts.seed = seed;
     }
-    popts.max_batch = static_cast<std::uint32_t>(
-        parse_positive_or(args, "--match-batch", 1));
-    popts.mailbox_capacity = static_cast<std::size_t>(
-        parse_positive_or(args, "--match-mailbox", 1024));
+    popts.max_batch = int_flag<std::uint32_t>(args, "--match-batch", 1);
+    popts.mailbox_capacity =
+        int_flag<std::size_t>(args, "--match-mailbox", 1024);
     if (profile) popts.profiler = &profiler;
     options.engine_factory = pmatch::parallel_engine_factory(popts);
   }
@@ -862,18 +849,13 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     }
   }
 
-  std::vector<std::uint32_t> procs_list;
   std::vector<SweepOutcome> outcomes;
-  const int run_model = parse_run_model(args, 1);
-  const std::string procs_raw = args.value("--procs", "");
-  if (obs_out.any() || !procs_raw.empty()) {
+  if (obs_out.any() || args.find("--procs") != nullptr) {
     // Replay the program's match trace on the simulated machine and export
     // the run's timeline + metrics (rete.* counters above were recorded by
     // the live engine; sim.* come from this replay).  With a --procs list
     // the entries fan out across --jobs worker threads; the exports
     // describe the first entry.
-    procs_list = parse_u32_list(procs_raw.empty() ? "8" : procs_raw,
-                                "--procs");
     PipelineOptions pipeline;
     pipeline.interpreter.strategy = options.strategy;
     pipeline.interpreter.max_cycles = options.max_cycles;
@@ -882,7 +864,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     sim::SimConfig base_config;
     base_config.costs = cost_model_for_run(run_model);
     SweepOptions sweep_options;
-    sweep_options.jobs = parse_jobs(args);
+    sweep_options.jobs = jobs;
     if (obs_out.any()) {
       sweep_options.metrics = &registry;
       sweep_options.tracer = &tracer;
@@ -1004,27 +986,22 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const bool json = args.flag("--json");
-  const auto sessions =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--sessions", 8));
-  const std::uint64_t transactions =
-      parse_positive_or(args, "--transactions", 64);
-  const std::uint64_t seconds = parse_positive_or(args, "--seconds", 0);
-  const auto window =
-      static_cast<std::size_t>(parse_positive_or(args, "--wm-window", 32));
-  const std::uint64_t rss_ceiling =
-      parse_positive_or(args, "--rss-ceiling-mb", 0);
-  const auto seed =
-      static_cast<std::uint64_t>(parse_long_or(args.value("--seed", "1"), 1));
+  const auto sessions = int_flag<std::uint32_t>(args, "--sessions", 8);
+  const auto transactions =
+      int_flag<std::uint64_t>(args, "--transactions", 64);
+  const auto seconds = int_flag<std::uint64_t>(args, "--seconds", 0);
+  const auto window = int_flag<std::size_t>(args, "--wm-window", 32);
+  const auto rss_ceiling =
+      int_flag<std::uint64_t>(args, "--rss-ceiling-mb", 0);
+  const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   const std::string metrics_path = args.value("--metrics-out", "");
 
   obs::Registry registry;
   serve::ServeOptions sopts;
-  sopts.match.threads = static_cast<std::uint32_t>(
-      parse_positive_or(args, "--match-threads", 2));
-  sopts.admission_batch = static_cast<std::uint32_t>(
-      parse_positive_or(args, "--admission-batch", 16));
-  sopts.queue_capacity = static_cast<std::size_t>(
-      parse_positive_or(args, "--queue-capacity", 256));
+  sopts.match.threads = int_flag<std::uint32_t>(args, "--match-threads", 2);
+  sopts.admission_batch =
+      int_flag<std::uint32_t>(args, "--admission-batch", 16);
+  sopts.queue_capacity = int_flag<std::size_t>(args, "--queue-capacity", 256);
   sopts.max_sessions = sessions;
   sopts.metrics = &registry;
 
@@ -1169,8 +1146,8 @@ int cmd_trace(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   PipelineOptions options;
-  options.interpreter.engine.num_buckets = static_cast<std::uint32_t>(
-      parse_long_or(args.value("--buckets", "256"), 256));
+  options.interpreter.engine.num_buckets =
+      int_flag<std::uint32_t>(args, "--buckets", 256);
   const PipelineResult result =
       record_trace_from_source(read_file(path), path, options);
   const std::string out_path = args.value("-o", "");
@@ -1200,17 +1177,16 @@ int cmd_stats(const Args& args, std::ostream& out, std::ostream& err) {
   // on the simulated machine for every --procs entry (fanned out across
   // --jobs worker threads) and summarize skew, traffic and hot buckets.
   const std::vector<std::uint32_t> procs_list =
-      parse_u32_list(args.value("--procs", "16"), "--procs");
+      int_list_flag<std::uint32_t>(args, "--procs", "16", 1);
   const int run = parse_run_model(args, 1);
-  const auto top_k =
-      static_cast<std::size_t>(parse_long_or(args.value("--top", "8"), 8));
+  const auto top_k = int_flag<std::size_t>(args, "--top", 8, 0);
   const sim::NetworkConfig network = parse_network(
       args, 1 + *std::max_element(procs_list.begin(), procs_list.end()));
   const ObsOutputs obs_out = ObsOutputs::from(args);
   obs::Registry registry;
   obs::Tracer tracer;
   SweepOptions sweep_options;
-  sweep_options.jobs = parse_jobs(args);
+  sweep_options.jobs = int_flag<unsigned>(args, "--jobs", 0);
   if (obs_out.any()) {
     sweep_options.metrics = &registry;
     sweep_options.tracer = &tracer;
@@ -1316,7 +1292,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json = args.flag("--json");
 
   const std::vector<std::uint32_t> procs_list =
-      parse_u32_list(args.value("--procs", "8"), "--procs");
+      int_list_flag<std::uint32_t>(args, "--procs", "8", 1);
 
   sim::SimConfig config;
   config.match_processors = procs_list.front();
@@ -1326,10 +1302,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   if (mapping == "pairs") {
     config.mapping = sim::MappingMode::ProcessorPairs;
   }
-  config.constant_test_processors =
-      static_cast<std::uint32_t>(parse_long_or(args.value("--ct", "0"), 0));
-  config.conflict_set_processors =
-      static_cast<std::uint32_t>(parse_long_or(args.value("--cs", "0"), 0));
+  config.constant_test_processors = int_flag<std::uint32_t>(args, "--ct", 0, 0);
+  config.conflict_set_processors = int_flag<std::uint32_t>(args, "--cs", 0, 0);
   const std::string termination = args.value("--termination", "none");
   if (termination == "ack") {
     config.termination = sim::TerminationModel::AckCounting;
@@ -1342,8 +1316,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
                 config.conflict_set_processors);
 
   const std::string assign = args.value("--assign", "rr");
-  const auto seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
+  const auto jobs = int_flag<unsigned>(args, "--jobs", 0);
   const auto assignment_for = [&](const sim::SimConfig& cfg) {
     return assign == "random"
                ? sim::Assignment::random(t.num_buckets, cfg.partitions(), seed)
@@ -1409,7 +1383,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   // A comma list sweeps the processor counts across worker threads; the
   // exports then hold the merged registry / merged timeline.
   SweepOptions sweep_options;
-  sweep_options.jobs = parse_jobs(args);
+  sweep_options.jobs = jobs;
   if (obs_out.any()) {
     sweep_options.metrics = &registry;
     sweep_options.tracer = &tracer;
@@ -1476,31 +1450,14 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json = args.flag("--json");
 
   const std::vector<std::uint32_t> procs =
-      parse_u32_list(args.value("--procs", "2,4,8,16,32"), "--procs");
+      int_list_flag<std::uint32_t>(args, "--procs", "2,4,8,16,32", 1);
   // Overhead runs: 0 = zero-overhead cost model, 1..4 = the paper's runs.
-  std::vector<int> runs;
-  {
-    const std::string spec = args.value("--runs", "1,2,3,4");
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::size_t len =
-          (comma == std::string::npos ? spec.size() : comma) - start;
-      long v = 0;
-      if (parse_int(trim(std::string_view(spec).substr(start, len)), v) &&
-          v >= 0 && v <= 4) {
-        runs.push_back(static_cast<int>(v));
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (runs.empty()) runs.push_back(1);
-  }
+  const std::vector<int> runs =
+      int_list_flag<int>(args, "--runs", "1,2,3,4", 0, 4);
 
   const bool pairs = args.value("--mapping", "merged") == "pairs";
   const std::string assign = args.value("--assign", "rr");
-  const auto seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   const sim::NetworkConfig network = parse_network(
       args, 1 + *std::max_element(procs.begin(), procs.end()));
 
@@ -1534,7 +1491,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   obs::Registry registry;
   obs::Tracer tracer;
   SweepOptions options;
-  options.jobs = parse_jobs(args);
+  options.jobs = int_flag<unsigned>(args, "--jobs", 0);
   options.check_invariants = true;
   const ObsOutputs obs_out = ObsOutputs::from(args);
   if (obs_out.any()) {
@@ -1594,16 +1551,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 /// simulator (docs/TESTING.md).  Deterministic for a fixed --seed.
 int cmd_selfcheck(const Args& args, std::ostream& out, std::ostream& err) {
   SelfCheckOptions options;
-  {
-    const std::string raw = args.value("--rounds", "200");
-    long v = 0;
-    if (!parse_int(raw, v) || v <= 0) {
-      throw UsageError("--rounds: '" + raw + "' is not a positive integer");
-    }
-    options.rounds = static_cast<std::uint64_t>(v);
-  }
-  options.seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  options.rounds = int_flag<std::uint64_t>(args, "--rounds", 200);
+  options.seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   try {
     options.fault = parse_fault(args.value("--fault", "none"));
   } catch (const RuntimeError& e) {
@@ -1640,19 +1589,18 @@ int cmd_check(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   mc::CheckOptions options;
-  const std::string schedules_raw = args.value("--schedules", "");
-  if (args.flag("--exhaustive") && !schedules_raw.empty()) {
+  const bool fuzz = args.find("--schedules") != nullptr;
+  if (args.flag("--exhaustive") && fuzz) {
     throw UsageError(
         "check: --exhaustive and --schedules are mutually exclusive");
   }
-  if (!schedules_raw.empty()) {
+  if (fuzz) {
     options.mode = mc::CheckOptions::Mode::Random;
-    options.schedules = parse_positive_or(args, "--schedules", 64);
+    options.schedules = int_flag<std::uint64_t>(args, "--schedules", 64);
   }
-  options.seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
-  options.max_schedules =
-      parse_positive_or(args, "--max-schedules", options.max_schedules);
+  options.seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
+  options.max_schedules = int_flag<std::uint64_t>(args, "--max-schedules",
+                                                  options.max_schedules);
   try {
     options.fault = mc::parse_fault(args.value("--fault", "none"));
   } catch (const RuntimeError& e) {
@@ -1720,10 +1668,8 @@ int cmd_slice(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const trace::Trace t = read_trace_file(path);
-  const auto first = static_cast<std::size_t>(
-      parse_long_or(args.value("--from", "0"), 0));
-  const auto count = static_cast<std::size_t>(
-      parse_long_or(args.value("--cycles", "4"), 4));
+  const auto first = int_flag<std::size_t>(args, "--from", 0, 0);
+  const auto count = int_flag<std::size_t>(args, "--cycles", 4);
   const trace::Trace section = trace::slice(t, first, count);
   const std::string out_path = args.value("-o", "");
   if (out_path.empty()) {

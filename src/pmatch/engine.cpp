@@ -13,13 +13,9 @@ using rete::ActivationRecord;
 using rete::AlphaNode;
 using rete::AlphaSuccessor;
 using rete::BetaNode;
-using rete::BetaSuccessor;
-using rete::HashedMemory;
-using rete::JoinTest;
 using rete::Side;
 using rete::Tag;
 using rete::Token;
-using rete::Value;
 
 namespace {
 
@@ -118,7 +114,8 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       }),
       round_barrier_(static_cast<std::ptrdiff_t>(threads_)),
       exchange_barrier_(static_cast<std::ptrdiff_t>(threads_),
-                        ExchangeCompletion{this}) {
+                        ExchangeCompletion{this}),
+      mirror_(options.metrics) {
   if (options_.mailbox_capacity == 0) {
     throw RuntimeError("ParallelEngine: mailbox_capacity must be positive");
   }
@@ -131,7 +128,7 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
   workers_.reserve(threads_);
   for (std::uint32_t i = 0; i < threads_; ++i) {
     workers_.push_back(std::make_unique<Worker>(
-        i, num_buckets_, options_.mailbox_capacity, threads_));
+        i, wmes_, num_buckets_, options_.mailbox_capacity, threads_));
   }
   if (options_.profiler != nullptr) {
     options_.profiler->attach(threads_, num_buckets_);
@@ -143,12 +140,6 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
   flushed_workers_.resize(threads_);
   if (options_.metrics != nullptr) {
     obs::Registry& reg = *options_.metrics;
-    instr_.left = &reg.counter("rete.activations", {{"side", "left"}});
-    instr_.right = &reg.counter("rete.activations", {{"side", "right"}});
-    instr_.tokens = &reg.counter("rete.tokens_generated");
-    instr_.comparisons = &reg.counter("rete.comparisons");
-    instr_.stale = &reg.counter("rete.stale_deletes");
-    instr_.live_tokens = &reg.gauge("rete.live_tokens");
     instr_.messages = &reg.counter("pmatch.messages");
     instr_.local = &reg.counter("pmatch.local_deliveries");
     instr_.rounds = &reg.counter("pmatch.rounds");
@@ -208,14 +199,7 @@ void ParallelEngine::run_worker_phase(Worker& w) {
   obs::ProfLane* const lane = w.lane;
   const auto phase_start = Clock::now();
   std::uint64_t idle_ns = 0;
-  w.records.clear();
-  w.deltas.clear();
-  w.drain_depths.clear();
-  recycle_items(w, w.current);
-  recycle_items(w, w.next);
-  recycle_items(w, w.self_next);
-  w.provisional_counter = 0;
-  w.round = 0;
+  begin_worker_phase(w);
   try {
     scan_roots(w);
   } catch (...) {
@@ -336,17 +320,9 @@ void ParallelEngine::run_controlled_phase() {
   // free-running path's (sender, seq) sort.
   ScheduleControl& sched = *options_.schedule;
   for (auto& wp : workers_) {
-    Worker& w = *wp;
-    w.records.clear();
-    w.deltas.clear();
-    w.drain_depths.clear();
-    recycle_items(w, w.current);
-    recycle_items(w, w.next);
-    recycle_items(w, w.self_next);
-    w.provisional_counter = 0;
-    w.round = 0;
-    scan_roots(w);  // round 0 = constant-test scan in change order: the
-                    // real machine has no scheduler freedom here
+    begin_worker_phase(*wp);
+    scan_roots(*wp);  // round 0 = constant-test scan in change order: the
+                      // real machine has no scheduler freedom here
   }
   std::vector<std::uint32_t> slot_order;
   std::vector<std::uint32_t> order;
@@ -389,7 +365,21 @@ void ParallelEngine::run_controlled_phase() {
   }
 }
 
+void ParallelEngine::begin_worker_phase(Worker& w) {
+  w.records.clear();
+  w.deltas.clear();
+  w.drain_depths.clear();
+  recycle_items(w, w.current);
+  recycle_items(w, w.next);
+  recycle_items(w, w.self_next);
+  w.pool_limit = std::max(w.pool_limit, w.taken);
+  w.taken = 0;
+  w.provisional_counter = 0;
+  w.round = 0;
+}
+
 ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
+  ++w.taken;
   if (w.pool.empty()) return WorkItem{};
   WorkItem item = std::move(w.pool.back());
   w.pool.pop_back();
@@ -397,11 +387,20 @@ ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
   item.key.clear();
   item.parent = 0;
   item.seq = 0;
+  item.wme = WmeId{};
   return item;
 }
 
 void ParallelEngine::recycle_items(Worker& w, std::vector<WorkItem>& items) {
-  for (WorkItem& item : items) w.pool.push_back(std::move(item));
+  // A worker recycles the items it processed but takes items for what it
+  // sends, so under one-sided cross-worker traffic the receiver would
+  // pool more every phase.  A pool never needs more items than its worker
+  // has taken in one phase.
+  const std::uint64_t limit = std::max(w.pool_limit, w.taken);
+  for (WorkItem& item : items) {
+    if (w.pool.size() >= limit) break;
+    w.pool.push_back(std::move(item));
+  }
   items.clear();
 }
 
@@ -425,10 +424,10 @@ void ParallelEngine::scan_roots(Worker& w) {
         item.tag = tag;
         if (succ.side == Side::Left) {
           item.token.wmes.push_back(id);
-          left_key_into(dest, item.token, item.key);
+          w.join.left_key(dest, item.token, item.key);
         } else {
           item.wme = id;
-          right_key_into(dest, change.wme, item.key);
+          rete::JoinKernel::right_key(dest, change.wme, item.key);
         }
         item.bucket = rete::bucket_index(succ.beta, item.key, num_buckets_);
         if (owner_map_[item.bucket] != w.index) {
@@ -441,79 +440,54 @@ void ParallelEngine::scan_roots(Worker& w) {
   }
 }
 
-void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
-  if (w.lane == nullptr) {
-    if (item.side == Side::Left) {
-      process_left(w, item);
-    } else {
-      process_right(w, item);
-    }
-    return;
+struct ParallelEngine::WorkerSink {
+  ParallelEngine& engine;
+  Worker& w;
+  std::uint64_t parent;  // the activation's provisional id
+
+  void successor(NodeId node, const Token& token, Tag tag) {
+    WorkItem child = take_item(w);
+    child.parent = parent;
+    child.seq = w.emit_seq++;
+    child.sender = w.index;
+    child.node = node;
+    child.side = Side::Left;
+    child.tag = tag;
+    child.token = token;  // copy-assign reuses the recycled capacity
+    w.join.left_key(engine.net_.beta(node), token, child.key);
+    child.bucket = rete::bucket_index(node, child.key, engine.num_buckets_);
+    engine.route(w, std::move(child));
   }
+  void instantiation(ProductionId pid, const Token& token, Tag tag) {
+    w.deltas.push_back(ConflictDelta{pid, token, tag, w.round});
+  }
+};
+
+void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
+  ++w.wstats.activations;
+  PendingRecord pr;
+  pr.provisional_id = (static_cast<std::uint64_t>(w.index + 1) << 40) |
+                      ++w.provisional_counter;
+  pr.provisional_parent = item.parent;
+  pr.round = w.round;
+  pr.rec.node = item.node;
+  pr.rec.side = item.side;
+  pr.rec.tag = item.tag;
+  pr.rec.bucket = item.bucket;
   // Per-bucket load accounting: tokens touched = opposite-memory
   // candidates compared (comparisons delta) plus the activation itself.
-  const std::uint64_t before = w.stats.comparisons;
-  if (item.side == Side::Left) {
-    process_left(w, item);
-  } else {
-    process_right(w, item);
-  }
-  w.lane->bucket_load(item.bucket, w.stats.comparisons - before + 1);
-}
-
-void ParallelEngine::left_key_into(const BetaNode& node, const Token& t,
-                                   std::vector<Value>& out) const {
-  out.clear();
-  out.reserve(node.n_eq_tests);
-  for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-    const JoinTest& test = node.tests[i];
-    out.push_back(wmes_.at(t.wmes[test.left_pos]).get(test.left_attr));
-  }
-}
-
-void ParallelEngine::right_key_into(const BetaNode& node, const ops5::Wme& w,
-                                    std::vector<Value>& out) const {
-  out.clear();
-  out.reserve(node.n_eq_tests);
-  for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-    out.push_back(w.get(node.tests[i].right_attr));
-  }
-}
-
-bool ParallelEngine::non_eq_tests_pass(const BetaNode& node, const Token& t,
-                                       const ops5::Wme& w) const {
-  for (std::uint32_t i = node.n_eq_tests; i < node.tests.size(); ++i) {
-    const JoinTest& test = node.tests[i];
-    const Value& lv = wmes_.at(t.wmes[test.left_pos]).get(test.left_attr);
-    if (!w.get(test.right_attr).test(test.pred, lv)) return false;
-  }
-  return true;
-}
-
-void ParallelEngine::emit(Worker& w, const BetaNode& node, const Token& token,
-                          Tag tag, std::uint64_t provisional_parent,
-                          std::uint32_t& successors,
-                          std::uint32_t& instantiations) {
-  for (const BetaSuccessor& succ : node.successors) {
-    ++w.stats.tokens_generated;
-    if (succ.kind == BetaSuccessor::Kind::Production) {
-      ++instantiations;
-      w.deltas.push_back(ConflictDelta{succ.production, token, tag, w.round});
-    } else {
-      ++successors;
-      const BetaNode& dest = net_.beta(succ.beta);
-      WorkItem child = take_item(w);
-      child.parent = provisional_parent;
-      child.seq = w.emit_seq++;
-      child.sender = w.index;
-      child.node = succ.beta;
-      child.side = Side::Left;  // two-input node outputs feed left inputs only
-      child.tag = tag;
-      child.token = token;  // copy-assign reuses the recycled capacity
-      left_key_into(dest, token, child.key);
-      child.bucket = rete::bucket_index(succ.beta, child.key, num_buckets_);
-      route(w, std::move(child));
-    }
+  const std::uint64_t before = w.join.stats().comparisons;
+  WorkerSink sink{*this, w, pr.provisional_id};
+  const BetaNode& node = net_.beta(item.node);
+  const rete::JoinEmitted emitted =
+      item.side == Side::Left
+          ? w.join.left_activation(node, item.tag, item.token, item.key, sink)
+          : w.join.right_activation(node, item.tag, item.wme, item.key, sink);
+  pr.rec.successors = emitted.successors;
+  pr.rec.instantiations = emitted.instantiations;
+  w.records.push_back(std::move(pr));
+  if (w.lane != nullptr) {
+    w.lane->bucket_load(item.bucket, w.join.stats().comparisons - before + 1);
   }
 }
 
@@ -535,141 +509,6 @@ void ParallelEngine::route(Worker& w, WorkItem item) {
       w.prof_enqueue_ns += ns_between(push_start, obs::ProfLane::now());
     }
   }
-}
-
-void ParallelEngine::process_left(Worker& w, const WorkItem& item) {
-  const BetaNode& node = net_.beta(item.node);
-  ++w.stats.left_activations;
-  ++w.wstats.activations;
-  const std::uint64_t prov =
-      (static_cast<std::uint64_t>(w.index + 1) << 40) |
-      ++w.provisional_counter;
-
-  PendingRecord pr;
-  pr.provisional_id = prov;
-  pr.provisional_parent = item.parent;
-  pr.round = w.round;
-  pr.rec.node = node.id;
-  pr.rec.side = Side::Left;
-  pr.rec.tag = item.tag;
-  pr.rec.bucket = item.bucket;
-
-  if (node.kind == BetaNode::Kind::Join) {
-    if (item.tag == Tag::Plus) {
-      w.left.insert(node.id, item.token, item.key);
-    } else if (!w.left.erase(node.id, item.token, item.key)) {
-      ++w.stats.stale_deletes;
-    }
-    const auto candidates = w.right.find(node.id, item.key);
-    for (HashedMemory::Entry* e : candidates) {
-      ++w.stats.comparisons;
-      const ops5::Wme& wme = wmes_.at(e->token.wmes[0]);
-      if (!non_eq_tests_pass(node, item.token, wme)) continue;
-      // Build the join child in the worker's scratch token: emit copies
-      // it into recycled WorkItems / the delta list, so no fresh vector
-      // is allocated per candidate.
-      w.scratch.wmes.assign(item.token.wmes.begin(), item.token.wmes.end());
-      w.scratch.wmes.push_back(e->token.wmes[0]);
-      emit(w, node, w.scratch, item.tag, prov, pr.rec.successors,
-           pr.rec.instantiations);
-    }
-  } else {  // Negative node
-    if (item.tag == Tag::Plus) {
-      int count = 0;
-      const auto candidates = w.right.find(node.id, item.key);
-      for (HashedMemory::Entry* e : candidates) {
-        ++w.stats.comparisons;
-        if (non_eq_tests_pass(node, item.token, wmes_.at(e->token.wmes[0]))) {
-          ++count;
-        }
-      }
-      w.left.insert(node.id, item.token, item.key);
-      w.left.find_token(node.id, item.token, item.key)->neg_count = count;
-      if (count == 0) {
-        emit(w, node, item.token, Tag::Plus, prov, pr.rec.successors,
-             pr.rec.instantiations);
-      }
-    } else {
-      HashedMemory::Entry* e = w.left.find_token(node.id, item.token, item.key);
-      if (e == nullptr) {
-        ++w.stats.stale_deletes;
-      } else {
-        const bool was_propagated = e->neg_count == 0;
-        w.left.erase(node.id, item.token, item.key);
-        if (was_propagated) {
-          emit(w, node, item.token, Tag::Minus, prov, pr.rec.successors,
-               pr.rec.instantiations);
-        }
-      }
-    }
-  }
-  w.records.push_back(std::move(pr));
-}
-
-void ParallelEngine::process_right(Worker& w, const WorkItem& item) {
-  const BetaNode& node = net_.beta(item.node);
-  ++w.stats.right_activations;
-  ++w.wstats.activations;
-  const ops5::Wme& wme = wmes_.at(item.wme);
-  w.scratch_wme.wmes.assign(1, item.wme);
-  const Token& wme_token = w.scratch_wme;
-  const std::uint64_t prov =
-      (static_cast<std::uint64_t>(w.index + 1) << 40) |
-      ++w.provisional_counter;
-
-  PendingRecord pr;
-  pr.provisional_id = prov;
-  pr.provisional_parent = item.parent;
-  pr.round = w.round;
-  pr.rec.node = node.id;
-  pr.rec.side = Side::Right;
-  pr.rec.tag = item.tag;
-  pr.rec.bucket = item.bucket;
-
-  if (node.kind == BetaNode::Kind::Join) {
-    if (item.tag == Tag::Plus) {
-      w.right.insert(node.id, wme_token, item.key);
-    } else if (!w.right.erase(node.id, wme_token, item.key)) {
-      ++w.stats.stale_deletes;
-    }
-    const auto candidates = w.left.find(node.id, item.key);
-    for (HashedMemory::Entry* e : candidates) {
-      ++w.stats.comparisons;
-      if (!non_eq_tests_pass(node, e->token, wme)) continue;
-      w.scratch.wmes.assign(e->token.wmes.begin(), e->token.wmes.end());
-      w.scratch.wmes.push_back(item.wme);
-      emit(w, node, w.scratch, item.tag, prov, pr.rec.successors,
-           pr.rec.instantiations);
-    }
-  } else {  // Negative node
-    if (item.tag == Tag::Plus) {
-      w.right.insert(node.id, wme_token, item.key);
-      const auto candidates = w.left.find(node.id, item.key);
-      for (HashedMemory::Entry* e : candidates) {
-        ++w.stats.comparisons;
-        if (!non_eq_tests_pass(node, e->token, wme)) continue;
-        if (e->neg_count++ == 0) {
-          emit(w, node, e->token, Tag::Minus, prov, pr.rec.successors,
-               pr.rec.instantiations);
-        }
-      }
-    } else {
-      if (!w.right.erase(node.id, wme_token, item.key)) {
-        ++w.stats.stale_deletes;
-      } else {
-        const auto candidates = w.left.find(node.id, item.key);
-        for (HashedMemory::Entry* e : candidates) {
-          ++w.stats.comparisons;
-          if (!non_eq_tests_pass(node, e->token, wme)) continue;
-          if (--e->neg_count == 0) {
-            emit(w, node, e->token, Tag::Plus, prov, pr.rec.successors,
-                 pr.rec.instantiations);
-          }
-        }
-      }
-    }
-  }
-  w.records.push_back(std::move(pr));
 }
 
 void ParallelEngine::process_change(const ops5::WmeChange& change) {
@@ -738,7 +577,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
     for (const AlphaNode& alpha : net_.alphas()) {
       if (!alpha.matches(change.wme)) continue;
       for (ProductionId pid : alpha.direct_productions) {
-        update_conflict_set(pid, Token{{id}}, tag);
+        rete::update_conflict_set(conflict_, pid, Token{{id}}, tag);
       }
     }
   }
@@ -849,7 +688,7 @@ void ParallelEngine::merge_phase() {
         while (delta_cursor[i] < deltas.size() &&
                deltas[delta_cursor[i]].round == round) {
           ConflictDelta& d = deltas[delta_cursor[i]++];
-          update_conflict_set(d.pid, d.token, d.tag);
+          rete::update_conflict_set(conflict_, d.pid, d.token, d.tag);
         }
       }
     } else {
@@ -878,32 +717,23 @@ void ParallelEngine::merge_phase() {
         options_.schedule->order_merge(round, ops, order);
         require_permutation(order, group.size(), "order_merge");
         for (std::uint32_t idx : order) {
-          update_conflict_set(group[idx]->pid, group[idx]->token,
-                              group[idx]->tag);
+          rete::update_conflict_set(conflict_, group[idx]->pid,
+                                    group[idx]->token, group[idx]->tag);
         }
       }
     }
   }
 }
 
-void ParallelEngine::update_conflict_set(ProductionId pid, const Token& token,
-                                         Tag tag) {
-  rete::Instantiation inst{pid, token};
-  if (tag == Tag::Plus) {
-    conflict_.add(std::move(inst));
-  } else {
-    conflict_.remove(inst);
-  }
-}
-
 void ParallelEngine::collect_stats() {
   stats_ = rete::EngineStats{};
   for (const auto& w : workers_) {
-    stats_.left_activations += w->stats.left_activations;
-    stats_.right_activations += w->stats.right_activations;
-    stats_.tokens_generated += w->stats.tokens_generated;
-    stats_.comparisons += w->stats.comparisons;
-    stats_.stale_deletes += w->stats.stale_deletes;
+    const rete::EngineStats& s = w->join.stats();
+    stats_.left_activations += s.left_activations;
+    stats_.right_activations += s.right_activations;
+    stats_.tokens_generated += s.tokens_generated;
+    stats_.comparisons += s.comparisons;
+    stats_.stale_deletes += s.stale_deletes;
   }
 }
 
@@ -915,6 +745,7 @@ std::vector<WorkerStats> ParallelEngine::worker_stats() const {
     const auto mb = w->mailbox.stats();
     s.max_mailbox_depth = mb.max_depth;
     s.mailbox_overflows = mb.overflows;
+    s.pooled_items = w->pool.size();
     out.push_back(s);
   }
   return out;
@@ -922,16 +753,9 @@ std::vector<WorkerStats> ParallelEngine::worker_stats() const {
 
 void ParallelEngine::flush_metrics() {
   if (options_.metrics == nullptr) return;
-  instr_.left->add(stats_.left_activations - flushed_.left_activations);
-  instr_.right->add(stats_.right_activations - flushed_.right_activations);
-  instr_.tokens->add(stats_.tokens_generated - flushed_.tokens_generated);
-  instr_.comparisons->add(stats_.comparisons - flushed_.comparisons);
-  instr_.stale->add(stats_.stale_deletes - flushed_.stale_deletes);
   std::size_t live = 0;
-  for (const auto& w : workers_) {
-    live += w->left.total_tokens() + w->right.total_tokens();
-  }
-  instr_.live_tokens->set(static_cast<std::int64_t>(live));
+  for (const auto& w : workers_) live += w->join.live_tokens();
+  mirror_.flush(stats_, live);
   const std::vector<WorkerStats> current = worker_stats();
   std::uint64_t messages = 0;
   std::uint64_t local = 0;
@@ -956,7 +780,6 @@ void ParallelEngine::flush_metrics() {
       instr_.mailbox_depth->observe(static_cast<std::int64_t>(depth));
     }
   }
-  flushed_ = stats_;
   flushed_workers_ = current;
   flushed_rounds_ = rounds_executed_;
   flushed_phases_ = phases_;

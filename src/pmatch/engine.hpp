@@ -53,6 +53,7 @@
 #include "src/pmatch/schedule.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
+#include "src/rete/join.hpp"
 #include "src/rete/memory.hpp"
 #include "src/rete/network.hpp"
 #include "src/sim/assignment.hpp"
@@ -123,6 +124,7 @@ struct WorkerStats {
   std::uint64_t local_deliveries = 0;   // children kept on this worker
   std::uint64_t max_mailbox_depth = 0;
   std::uint64_t mailbox_overflows = 0;
+  std::uint64_t pooled_items = 0;       // recycled work items held for reuse
 };
 
 class ParallelEngine final : public rete::MatchEngine {
@@ -225,8 +227,7 @@ class ParallelEngine final : public rete::MatchEngine {
 
   struct Worker {
     std::uint32_t index = 0;
-    rete::HashedMemory left;
-    rete::HashedMemory right;
+    rete::JoinKernel join;  // this worker's buckets and their counters
     Mailbox<WorkItem> mailbox;
     // Per-phase state, touched only by the owning thread during a phase
     // and by the control thread between phases.
@@ -235,26 +236,25 @@ class ParallelEngine final : public rete::MatchEngine {
     std::vector<WorkItem> self_next;  // children staying on this worker
     std::vector<WorkItem> pool;  // retired items recycled to kill per-
                                  // activation token/key allocations
-    rete::Token scratch;         // join-child token built in place
-    rete::Token scratch_wme;     // right-activation single-wme token
+    std::uint64_t taken = 0;       // items taken this phase
+    std::uint64_t pool_limit = 0;  // most items taken in any one phase
     std::vector<PendingRecord> records;
     std::vector<ConflictDelta> deltas;
     std::vector<std::uint64_t> drain_depths;  // one sample per round
     std::uint64_t provisional_counter = 0;
     std::uint64_t emit_seq = 0;
     std::uint32_t round = 0;
-    rete::EngineStats stats;  // cumulative across phases
-    WorkerStats wstats;       // cumulative across phases
+    WorkerStats wstats;  // cumulative across phases
     obs::ProfLane* lane = nullptr;    // null ⇒ profiling off
     std::uint64_t prof_enqueue_ns = 0;  // per-round mailbox-push time
     std::exception_ptr error;
     std::thread thread;
 
-    Worker(std::uint32_t idx, std::uint32_t num_buckets,
-           std::size_t mailbox_capacity, std::uint32_t producers)
+    Worker(std::uint32_t idx, const rete::WmeTable& wmes,
+           std::uint32_t num_buckets, std::size_t mailbox_capacity,
+           std::uint32_t producers)
         : index(idx),
-          left(num_buckets),
-          right(num_buckets),
+          join(wmes, num_buckets),
           mailbox(mailbox_capacity, producers) {}
   };
 
@@ -263,13 +263,12 @@ class ParallelEngine final : public rete::MatchEngine {
     void operator()() noexcept { engine->on_exchange(); }
   };
 
+  /// The join kernel's sink on a worker: a child becomes a pooled
+  /// WorkItem routed to its bucket's owner, an instantiation a
+  /// ConflictDelta for the merge.
+  struct WorkerSink;
+
   struct Instruments {
-    obs::Counter* left = nullptr;
-    obs::Counter* right = nullptr;
-    obs::Counter* tokens = nullptr;
-    obs::Counter* comparisons = nullptr;
-    obs::Counter* stale = nullptr;
-    obs::Gauge* live_tokens = nullptr;
     obs::Counter* messages = nullptr;
     obs::Counter* local = nullptr;
     obs::Counter* rounds = nullptr;
@@ -291,31 +290,19 @@ class ParallelEngine final : public rete::MatchEngine {
   /// every worker's rounds cooperatively on the calling thread, with the
   /// controller choosing drain and processing orders.
   void run_controlled_phase();
+  /// Resets a worker's per-phase state and recycles its last phase's
+  /// items; every phase starts with it.
+  static void begin_worker_phase(Worker& w);
   void scan_roots(Worker& w);
   /// Pops a recycled WorkItem (token/key capacity intact) or default-
   /// constructs one.
-  [[nodiscard]] WorkItem take_item(Worker& w);
-  /// Moves every item of `items` into the worker's pool and clears it.
-  void recycle_items(Worker& w, std::vector<WorkItem>& items);
+  [[nodiscard]] static WorkItem take_item(Worker& w);
+  /// Moves the items of `items` into the worker's pool, up to its
+  /// pool_limit (the rest are freed), and clears it.
+  static void recycle_items(Worker& w, std::vector<WorkItem>& items);
   void process_item(Worker& w, const WorkItem& item);
-  void process_left(Worker& w, const WorkItem& item);
-  void process_right(Worker& w, const WorkItem& item);
-  void emit(Worker& w, const rete::BetaNode& node, const rete::Token& token,
-            rete::Tag tag, std::uint64_t provisional_parent,
-            std::uint32_t& successors, std::uint32_t& instantiations);
   void route(Worker& w, WorkItem item);
   void on_exchange() noexcept;
-
-  /// Fill-in key builders: clear `out` and append, reusing its capacity
-  /// (the allocating by-value forms were the per-activation hot-path
-  /// allocation the batching PR removed).
-  void left_key_into(const rete::BetaNode& node, const rete::Token& t,
-                     std::vector<rete::Value>& out) const;
-  void right_key_into(const rete::BetaNode& node, const ops5::Wme& w,
-                      std::vector<rete::Value>& out) const;
-  [[nodiscard]] bool non_eq_tests_pass(const rete::BetaNode& node,
-                                       const rete::Token& t,
-                                       const ops5::Wme& w) const;
 
   void merge_phase();
   /// Content hashes feeding ScheduledOp: `item_hash` identifies a round
@@ -328,8 +315,6 @@ class ParallelEngine final : public rete::MatchEngine {
       const ConflictDelta& d);
   [[nodiscard]] static std::uint64_t delta_dependence_hash(
       const ConflictDelta& d);
-  void update_conflict_set(ProductionId pid, const rete::Token& token,
-                           rete::Tag tag);
   void collect_stats();
   void flush_metrics();
 
@@ -342,7 +327,7 @@ class ParallelEngine final : public rete::MatchEngine {
   obs::ProfLane* control_lane_ = nullptr;  // null ⇒ profiling off
   rete::ActivationListener* listener_ = nullptr;
   rete::ConflictSet conflict_;
-  std::unordered_map<WmeId, ops5::Wme> wmes_;
+  rete::WmeTable wmes_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // Phase handshake: control publishes the change and bumps the
@@ -371,7 +356,7 @@ class ParallelEngine final : public rete::MatchEngine {
   std::uint64_t next_activation_ = 1;
   std::unordered_map<std::uint64_t, ActivationId> remap_;
   rete::EngineStats stats_;
-  rete::EngineStats flushed_;
+  rete::StatsMirror mirror_;
   std::vector<WorkerStats> flushed_workers_;
   std::uint64_t flushed_rounds_ = 0;
   std::uint64_t phases_ = 0;

@@ -4,41 +4,60 @@
 
 namespace mpps::rete {
 
+namespace {
+
+JoinHistograms join_histograms(obs::Registry* reg) {
+  if (reg == nullptr) return {};
+  return {&reg->histogram("rete.probe_len",
+                          obs::Histogram::exponential_bounds(1, 2.0, 16)),
+          &reg->histogram("rete.bucket_occupancy",
+                          obs::Histogram::exponential_bounds(1, 2.0, 16))};
+}
+
+}  // namespace
+
+StatsMirror::StatsMirror(obs::Registry* registry) {
+  if (registry == nullptr) return;
+  left_ = &registry->counter("rete.activations", {{"side", "left"}});
+  right_ = &registry->counter("rete.activations", {{"side", "right"}});
+  tokens_ = &registry->counter("rete.tokens_generated");
+  comparisons_ = &registry->counter("rete.comparisons");
+  stale_ = &registry->counter("rete.stale_deletes");
+  live_tokens_ = &registry->gauge("rete.live_tokens");
+}
+
+void StatsMirror::flush(const EngineStats& stats, std::size_t live_tokens) {
+  if (left_ == nullptr) return;
+  left_->add(stats.left_activations - flushed_.left_activations);
+  right_->add(stats.right_activations - flushed_.right_activations);
+  tokens_->add(stats.tokens_generated - flushed_.tokens_generated);
+  comparisons_->add(stats.comparisons - flushed_.comparisons);
+  stale_->add(stats.stale_deletes - flushed_.stale_deletes);
+  live_tokens_->set(static_cast<std::int64_t>(live_tokens));
+  flushed_ = stats;
+}
+
+struct Engine::QueueSink {
+  Engine& engine;
+  ActivationId parent;
+
+  void successor(NodeId node, const Token& token, Tag tag) {
+    engine.queue_.push_back(
+        Pending{parent, node, Side::Left, tag, token, WmeId{}});
+  }
+  void instantiation(ProductionId pid, const Token& token, Tag tag) {
+    update_conflict_set(engine.conflict_, pid, token, tag);
+  }
+};
+
 Engine::Engine(const Network& net, EngineOptions options)
     : net_(net),
       options_(options),
-      left_(options.num_buckets),
-      right_(options.num_buckets),
+      join_(wmes_, options.num_buckets, join_histograms(options.metrics)),
       conflict_([&net](ProductionId pid) {
         return net.production(pid).specificity();
-      }) {
-  if (options_.metrics != nullptr) {
-    obs::Registry& reg = *options_.metrics;
-    instr_.left = &reg.counter("rete.activations", {{"side", "left"}});
-    instr_.right = &reg.counter("rete.activations", {{"side", "right"}});
-    instr_.tokens = &reg.counter("rete.tokens_generated");
-    instr_.comparisons = &reg.counter("rete.comparisons");
-    instr_.stale = &reg.counter("rete.stale_deletes");
-    instr_.probe_len = &reg.histogram(
-        "rete.probe_len", obs::Histogram::exponential_bounds(1, 2.0, 16));
-    instr_.occupancy = &reg.histogram(
-        "rete.bucket_occupancy",
-        obs::Histogram::exponential_bounds(1, 2.0, 16));
-    instr_.live_tokens = &reg.gauge("rete.live_tokens");
-  }
-}
-
-void Engine::flush_metrics() {
-  if (instr_.left == nullptr) return;
-  instr_.left->add(stats_.left_activations - flushed_.left_activations);
-  instr_.right->add(stats_.right_activations - flushed_.right_activations);
-  instr_.tokens->add(stats_.tokens_generated - flushed_.tokens_generated);
-  instr_.comparisons->add(stats_.comparisons - flushed_.comparisons);
-  instr_.stale->add(stats_.stale_deletes - flushed_.stale_deletes);
-  instr_.live_tokens->set(
-      static_cast<std::int64_t>(left_.total_tokens() + right_.total_tokens()));
-  flushed_ = stats_;
-}
+      }),
+      mirror_(options.metrics) {}
 
 void Engine::process_change(const ops5::WmeChange& change) {
   if (listener_ != nullptr) listener_->on_wme_change(change);
@@ -53,11 +72,7 @@ void Engine::process_change(const ops5::WmeChange& change) {
   for (const AlphaNode& alpha : net_.alphas()) {
     if (!alpha.matches(change.wme)) continue;
     for (const AlphaSuccessor& succ : alpha.successors) {
-      Pending p;
-      p.parent = ActivationId::invalid();
-      p.node = succ.beta;
-      p.side = succ.side;
-      p.tag = tag;
+      Pending p{ActivationId::invalid(), succ.beta, succ.side, tag, {}, {}};
       if (succ.side == Side::Left) {
         p.token = Token{{id}};
       } else {
@@ -67,222 +82,41 @@ void Engine::process_change(const ops5::WmeChange& change) {
     }
     // Single-positive-CE productions: the wme itself is an instantiation.
     for (ProductionId pid : alpha.direct_productions) {
-      update_conflict_set(pid, Token{{id}}, tag);
+      update_conflict_set(conflict_, pid, Token{{id}}, tag);
     }
   }
-  drain();
+  while (!queue_.empty()) {
+    const Pending p = std::move(queue_.front());
+    queue_.pop_front();
+    activate(p);
+  }
   if (tag == Tag::Minus) {
     wmes_.erase(id);
   }
-  flush_metrics();
+  mirror_.flush(join_.stats(), join_.live_tokens());
 }
 
-void Engine::drain() {
-  while (!queue_.empty()) {
-    Pending p = std::move(queue_.front());
-    queue_.pop_front();
-    if (p.side == Side::Left) {
-      process_left(p);
-    } else {
-      process_right(p);
-    }
-  }
-}
-
-std::vector<Value> Engine::left_key(const BetaNode& node,
-                                    const Token& t) const {
-  std::vector<Value> key;
-  key.reserve(node.n_eq_tests);
-  for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-    const JoinTest& test = node.tests[i];
-    key.push_back(wmes_.at(t.wmes[test.left_pos]).get(test.left_attr));
-  }
-  return key;
-}
-
-std::vector<Value> Engine::right_key(const BetaNode& node,
-                                     const ops5::Wme& w) const {
-  std::vector<Value> key;
-  key.reserve(node.n_eq_tests);
-  for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-    key.push_back(w.get(node.tests[i].right_attr));
-  }
-  return key;
-}
-
-bool Engine::non_eq_tests_pass(const BetaNode& node, const Token& t,
-                               const ops5::Wme& w) const {
-  for (std::uint32_t i = node.n_eq_tests; i < node.tests.size(); ++i) {
-    const JoinTest& test = node.tests[i];
-    // The CE reads `^right_attr <pred> <var>`: the right wme's value is the
-    // left operand of the predicate, the token's binding the right operand.
-    const Value& lv = wmes_.at(t.wmes[test.left_pos]).get(test.left_attr);
-    if (!w.get(test.right_attr).test(test.pred, lv)) return false;
-  }
-  return true;
-}
-
-void Engine::emit(const BetaNode& node, Token token, Tag tag,
-                  ActivationId parent, std::uint32_t& successors,
-                  std::uint32_t& instantiations) {
-  for (const BetaSuccessor& succ : node.successors) {
-    ++stats_.tokens_generated;
-    if (succ.kind == BetaSuccessor::Kind::Production) {
-      ++instantiations;
-      update_conflict_set(succ.production, token, tag);
-    } else {
-      ++successors;
-      Pending p;
-      p.parent = parent;
-      p.node = succ.beta;
-      p.side = Side::Left;  // two-input node outputs feed left inputs only
-      p.tag = tag;
-      p.token = token;
-      queue_.push_back(std::move(p));
-    }
-  }
-}
-
-void Engine::process_left(const Pending& p) {
+void Engine::activate(const Pending& p) {
   const BetaNode& node = net_.beta(p.node);
-  ++stats_.left_activations;
-  std::vector<Value> key = left_key(node, p.token);
-  const std::uint32_t bucket = left_.bucket_of(node.id, key);
-
   ActivationRecord rec;
   rec.id = ActivationId{next_activation_++};
   rec.parent = p.parent;
   rec.node = node.id;
-  rec.side = Side::Left;
+  rec.side = p.side;
   rec.tag = p.tag;
-  rec.bucket = bucket;
-
-  if (node.kind == BetaNode::Kind::Join) {
-    if (p.tag == Tag::Plus) {
-      observe_insert(left_, node.id, left_.insert(node.id, p.token, key));
-    } else if (!left_.erase(node.id, p.token, key)) {
-      ++stats_.stale_deletes;
-    }
-    const auto candidates = right_.find(node.id, key);
-    observe_probe(candidates.size());
-    for (HashedMemory::Entry* e : candidates) {
-      ++stats_.comparisons;
-      const ops5::Wme& w = wmes_.at(e->token.wmes[0]);
-      if (!non_eq_tests_pass(node, p.token, w)) continue;
-      Token child = p.token;
-      child.wmes.push_back(e->token.wmes[0]);
-      emit(node, std::move(child), p.tag, rec.id, rec.successors,
-           rec.instantiations);
-    }
-  } else {  // Negative node
-    if (p.tag == Tag::Plus) {
-      int count = 0;
-      const auto candidates = right_.find(node.id, key);
-      observe_probe(candidates.size());
-      for (HashedMemory::Entry* e : candidates) {
-        ++stats_.comparisons;
-        if (non_eq_tests_pass(node, p.token, wmes_.at(e->token.wmes[0]))) {
-          ++count;
-        }
-      }
-      observe_insert(left_, node.id, left_.insert(node.id, p.token, key));
-      left_.find_token(node.id, p.token, key)->neg_count = count;
-      if (count == 0) {
-        emit(node, p.token, Tag::Plus, rec.id, rec.successors,
-             rec.instantiations);
-      }
-    } else {
-      HashedMemory::Entry* e = left_.find_token(node.id, p.token, key);
-      if (e == nullptr) {
-        ++stats_.stale_deletes;
-      } else {
-        const bool was_propagated = e->neg_count == 0;
-        left_.erase(node.id, p.token, key);
-        if (was_propagated) {
-          emit(node, p.token, Tag::Minus, rec.id, rec.successors,
-               rec.instantiations);
-        }
-      }
-    }
-  }
-  if (listener_ != nullptr) listener_->on_activation(rec);
-}
-
-void Engine::process_right(const Pending& p) {
-  const BetaNode& node = net_.beta(p.node);
-  ++stats_.right_activations;
-  const ops5::Wme& w = wmes_.at(p.wme);
-  std::vector<Value> key = right_key(node, w);
-  const std::uint32_t bucket = right_.bucket_of(node.id, key);
-  const Token wme_token{{p.wme}};
-
-  ActivationRecord rec;
-  rec.id = ActivationId{next_activation_++};
-  rec.parent = p.parent;
-  rec.node = node.id;
-  rec.side = Side::Right;
-  rec.tag = p.tag;
-  rec.bucket = bucket;
-
-  if (node.kind == BetaNode::Kind::Join) {
-    if (p.tag == Tag::Plus) {
-      observe_insert(right_, node.id,
-                     right_.insert(node.id, wme_token, key));
-    } else if (!right_.erase(node.id, wme_token, key)) {
-      ++stats_.stale_deletes;
-    }
-    const auto candidates = left_.find(node.id, key);
-    observe_probe(candidates.size());
-    for (HashedMemory::Entry* e : candidates) {
-      ++stats_.comparisons;
-      if (!non_eq_tests_pass(node, e->token, w)) continue;
-      Token child = e->token;
-      child.wmes.push_back(p.wme);
-      emit(node, std::move(child), p.tag, rec.id, rec.successors,
-           rec.instantiations);
-    }
-  } else {  // Negative node
-    if (p.tag == Tag::Plus) {
-      observe_insert(right_, node.id,
-                     right_.insert(node.id, wme_token, key));
-      const auto candidates = left_.find(node.id, key);
-      observe_probe(candidates.size());
-      for (HashedMemory::Entry* e : candidates) {
-        ++stats_.comparisons;
-        if (!non_eq_tests_pass(node, e->token, w)) continue;
-        if (e->neg_count++ == 0) {
-          emit(node, e->token, Tag::Minus, rec.id, rec.successors,
-               rec.instantiations);
-        }
-      }
-    } else {
-      if (!right_.erase(node.id, wme_token, key)) {
-        ++stats_.stale_deletes;
-      } else {
-        const auto candidates = left_.find(node.id, key);
-        observe_probe(candidates.size());
-        for (HashedMemory::Entry* e : candidates) {
-          ++stats_.comparisons;
-          if (!non_eq_tests_pass(node, e->token, w)) continue;
-          if (--e->neg_count == 0) {
-            emit(node, e->token, Tag::Plus, rec.id, rec.successors,
-                 rec.instantiations);
-          }
-        }
-      }
-    }
-  }
-  if (listener_ != nullptr) listener_->on_activation(rec);
-}
-
-void Engine::update_conflict_set(ProductionId pid, const Token& token,
-                                 Tag tag) {
-  Instantiation inst{pid, token};
-  if (tag == Tag::Plus) {
-    conflict_.add(std::move(inst));
+  QueueSink sink{*this, rec.id};
+  JoinEmitted emitted;
+  if (p.side == Side::Left) {
+    join_.left_key(node, p.token, key_);
+    emitted = join_.left_activation(node, p.tag, p.token, key_, sink);
   } else {
-    conflict_.remove(inst);
+    JoinKernel::right_key(node, wmes_.at(p.wme), key_);
+    emitted = join_.right_activation(node, p.tag, p.wme, key_, sink);
   }
+  rec.bucket = bucket_index(node.id, key_, options_.num_buckets);
+  rec.successors = emitted.successors;
+  rec.instantiations = emitted.instantiations;
+  if (listener_ != nullptr) listener_->on_activation(rec);
 }
 
 }  // namespace mpps::rete

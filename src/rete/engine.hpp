@@ -10,13 +10,13 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/ops5/wme.hpp"
 #include "src/rete/conflict.hpp"
+#include "src/rete/join.hpp"
 #include "src/rete/memory.hpp"
 #include "src/rete/network.hpp"
 #include "src/rete/token.hpp"
@@ -58,14 +58,27 @@ struct EngineOptions {
   obs::Registry* metrics = nullptr;
 };
 
-struct EngineStats {
-  std::uint64_t left_activations = 0;
-  std::uint64_t right_activations = 0;
-  std::uint64_t tokens_generated = 0;
-  std::uint64_t comparisons = 0;  // opposite-bucket entries examined
-  std::uint64_t stale_deletes = 0;
+/// Mirrors a match engine's EngineStats into a metrics registry: the
+/// rete.activations{side=left|right}, rete.tokens_generated,
+/// rete.comparisons and rete.stale_deletes counters plus the
+/// rete.live_tokens gauge.  Both match engines flush one after each
+/// change or phase.
+class StatsMirror {
+ public:
+  /// Registers the instruments; a null registry makes flush a no-op.
+  explicit StatsMirror(obs::Registry* registry);
 
-  friend bool operator==(const EngineStats&, const EngineStats&) = default;
+  /// Adds the counter deltas since the last flush and sets the gauge.
+  void flush(const EngineStats& stats, std::size_t live_tokens);
+
+ private:
+  obs::Counter* left_ = nullptr;
+  obs::Counter* right_ = nullptr;
+  obs::Counter* tokens_ = nullptr;
+  obs::Counter* comparisons_ = nullptr;
+  obs::Counter* stale_ = nullptr;
+  obs::Gauge* live_tokens_ = nullptr;
+  EngineStats flushed_;
 };
 
 /// The match-engine contract the Interpreter's MRA loop drives.  Both the
@@ -111,6 +124,10 @@ class Engine final : public MatchEngine {
   /// The network must outlive the engine.
   explicit Engine(const Network& net, EngineOptions options = {});
 
+  // The join kernel refers to this engine's wme table.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
   void set_listener(ActivationListener* listener) override {
     listener_ = listener;
   }
@@ -121,9 +138,15 @@ class Engine final : public MatchEngine {
   [[nodiscard]] ConflictSet& conflict_set() override { return conflict_; }
   [[nodiscard]] const ConflictSet& conflict_set() const { return conflict_; }
 
-  [[nodiscard]] const EngineStats& stats() const override { return stats_; }
-  [[nodiscard]] const HashedMemory& left_memory() const { return left_; }
-  [[nodiscard]] const HashedMemory& right_memory() const { return right_; }
+  [[nodiscard]] const EngineStats& stats() const override {
+    return join_.stats();
+  }
+  [[nodiscard]] const HashedMemory& left_memory() const {
+    return join_.left();
+  }
+  [[nodiscard]] const HashedMemory& right_memory() const {
+    return join_.right();
+  }
 
   /// The wme with `id`, which must be live inside the network.
   [[nodiscard]] const ops5::Wme& wme(WmeId id) const override {
@@ -139,60 +162,23 @@ class Engine final : public MatchEngine {
     Token token;  // left activations; right activations use `wme`
     WmeId wme;    // right activations
   };
+  /// The join kernel's sink: children join the FIFO queue, instantiations
+  /// update the conflict set.
+  struct QueueSink;
 
-  /// Instrument handles resolved once at construction (hot-path recording
-  /// is one null check when no registry is attached).
-  struct Instruments {
-    obs::Counter* left = nullptr;
-    obs::Counter* right = nullptr;
-    obs::Counter* tokens = nullptr;
-    obs::Counter* comparisons = nullptr;
-    obs::Counter* stale = nullptr;
-    obs::Histogram* probe_len = nullptr;
-    obs::Histogram* occupancy = nullptr;
-    obs::Gauge* live_tokens = nullptr;
-  };
-
-  void drain();
-  /// Mirrors the EngineStats deltas since the last flush into the
-  /// registry; called at the end of every process_change.
-  void flush_metrics();
-  void observe_probe(std::size_t candidates) {
-    if (instr_.probe_len != nullptr) {
-      instr_.probe_len->observe(static_cast<std::int64_t>(candidates));
-    }
-  }
-  void observe_insert(const HashedMemory& mem, NodeId node,
-                      std::uint32_t bucket) {
-    if (instr_.occupancy != nullptr) {
-      instr_.occupancy->observe(
-          static_cast<std::int64_t>(mem.cell_size(node, bucket)));
-    }
-  }
-  void process_left(const Pending& p);
-  void process_right(const Pending& p);
-  std::vector<Value> left_key(const BetaNode& node, const Token& t) const;
-  std::vector<Value> right_key(const BetaNode& node,
-                               const ops5::Wme& w) const;
-  bool non_eq_tests_pass(const BetaNode& node, const Token& t,
-                         const ops5::Wme& w) const;
-  /// Routes a generated token to `node`'s successors; returns counts.
-  void emit(const BetaNode& node, Token token, Tag tag, ActivationId parent,
-            std::uint32_t& successors, std::uint32_t& instantiations);
-  void update_conflict_set(ProductionId pid, const Token& token, Tag tag);
+  /// Runs one queued activation through the join kernel.
+  void activate(const Pending& p);
 
   const Network& net_;
   EngineOptions options_;
   ActivationListener* listener_ = nullptr;
-  HashedMemory left_;
-  HashedMemory right_;
+  WmeTable wmes_;
+  JoinKernel join_;
   ConflictSet conflict_;
-  std::unordered_map<WmeId, ops5::Wme> wmes_;
   std::deque<Pending> queue_;
+  std::vector<Value> key_;  // the current activation's equality key
   std::uint64_t next_activation_ = 1;
-  EngineStats stats_;
-  Instruments instr_;
-  EngineStats flushed_;
+  StatsMirror mirror_;
 };
 
 }  // namespace mpps::rete

@@ -1,0 +1,262 @@
+// The join kernel: one two-input node activation, the paper's unit of
+// parallel match work (§3-4).  An activation stores its token in the hash
+// bucket its equality key addresses, matches it against the opposite
+// bucket of the same node, and emits the successor tokens.
+//
+// The serial `rete::Engine` and every worker of `pmatch::ParallelEngine`
+// run each join and negative-node activation through this one kernel.
+// They differ only in the sink that receives what an activation emits,
+// a template parameter so no call is virtual:
+//
+//   void successor(NodeId node, const Token& token, Tag tag);
+//       a left activation of beta node `node` (two-input node outputs
+//       feed left inputs only);
+//   void instantiation(ProductionId pid, const Token& token, Tag tag);
+//       a conflict-set change.
+//
+// The token passed to a sink may be kernel scratch that the next call
+// overwrites, so a sink that keeps it copies it.  A sink must not touch
+// the kernel's memories.  `rete::TreatEngine` and `naive_match` do not
+// use this kernel: they are the independent witnesses it is tested
+// against.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "src/common/ids.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/ops5/wme.hpp"
+#include "src/rete/conflict.hpp"
+#include "src/rete/memory.hpp"
+#include "src/rete/network.hpp"
+#include "src/rete/token.hpp"
+
+namespace mpps::rete {
+
+/// The wmes live inside a network, by id.
+using WmeTable = std::unordered_map<WmeId, ops5::Wme>;
+
+struct EngineStats {
+  std::uint64_t left_activations = 0;
+  std::uint64_t right_activations = 0;
+  std::uint64_t tokens_generated = 0;
+  std::uint64_t comparisons = 0;  // opposite-bucket entries examined
+  std::uint64_t stale_deletes = 0;
+
+  friend bool operator==(const EngineStats&, const EngineStats&) = default;
+};
+
+/// Applies one +/- instantiation to a conflict set.
+inline void update_conflict_set(ConflictSet& cs, ProductionId pid,
+                                const Token& token, Tag tag) {
+  Instantiation inst{pid, token};
+  if (tag == Tag::Plus) {
+    cs.add(std::move(inst));
+  } else {
+    cs.remove(inst);
+  }
+}
+
+/// What one activation emitted: the counts its ActivationRecord reports.
+struct JoinEmitted {
+  std::uint32_t successors = 0;      // tokens sent to beta successors
+  std::uint32_t instantiations = 0;  // tokens sent to production nodes
+};
+
+/// Optional distributions the kernel records into (null ⇒ not recorded).
+struct JoinHistograms {
+  obs::Histogram* probe_len = nullptr;  // opposite-cell matches per probe
+  obs::Histogram* occupancy = nullptr;  // own-cell size after an insert
+};
+
+/// One left/right hashed-memory pair, its counters, and the activation
+/// code over them.  The serial engine owns one; each parallel worker owns
+/// one for the buckets it is assigned.
+class JoinKernel {
+ public:
+  /// `wmes` must outlive the kernel and hold every wme a token names.
+  JoinKernel(const WmeTable& wmes, std::uint32_t num_buckets,
+             JoinHistograms histograms = {})
+      : wmes_(wmes),
+        left_(num_buckets),
+        right_(num_buckets),
+        histograms_(histograms) {}
+
+  [[nodiscard]] const HashedMemory& left() const { return left_; }
+  [[nodiscard]] const HashedMemory& right() const { return right_; }
+  [[nodiscard]] const EngineStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t live_tokens() const {
+    return left_.total_tokens() + right_.total_tokens();
+  }
+
+  /// The equality key of `token` arriving at `node`'s left input, written
+  /// into `out` (its capacity is reused).
+  void left_key(const BetaNode& node, const Token& token,
+                std::vector<Value>& out) const {
+    out.clear();
+    for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
+      const JoinTest& test = node.tests[i];
+      out.push_back(wmes_.at(token.wmes[test.left_pos]).get(test.left_attr));
+    }
+  }
+
+  /// The equality key of `wme` arriving at `node`'s right input.
+  static void right_key(const BetaNode& node, const ops5::Wme& wme,
+                        std::vector<Value>& out) {
+    out.clear();
+    for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
+      out.push_back(wme.get(node.tests[i].right_attr));
+    }
+  }
+
+  /// A token arrives at `node`'s left input; `key` is its left_key.
+  template <typename Sink>
+  JoinEmitted left_activation(const BetaNode& node, Tag tag,
+                              const Token& token, std::span<const Value> key,
+                              Sink& sink) {
+    ++stats_.left_activations;
+    JoinEmitted out;
+    if (node.kind == BetaNode::Kind::Join) {
+      if (tag == Tag::Plus) {
+        insert(left_, node.id, token, key);
+      } else if (!left_.erase(node.id, token, key)) {
+        ++stats_.stale_deletes;
+      }
+      for (HashedMemory::Entry* e : probe(right_, node.id, key)) {
+        const WmeId wme = e->token.wmes[0];
+        if (!non_eq_tests_pass(node, token, wmes_.at(wme))) continue;
+        child_.wmes.assign(token.wmes.begin(), token.wmes.end());
+        child_.wmes.push_back(wme);
+        emit(node, child_, tag, sink, out);
+      }
+    } else if (tag == Tag::Plus) {  // negative node
+      int count = 0;
+      for (HashedMemory::Entry* e : probe(right_, node.id, key)) {
+        if (non_eq_tests_pass(node, token, wmes_.at(e->token.wmes[0]))) {
+          ++count;
+        }
+      }
+      insert(left_, node.id, token, key);
+      left_.find_token(node.id, token, key)->neg_count = count;
+      if (count == 0) emit(node, token, Tag::Plus, sink, out);
+    } else {
+      HashedMemory::Entry* e = left_.find_token(node.id, token, key);
+      if (e == nullptr) {
+        ++stats_.stale_deletes;
+      } else {
+        const bool was_propagated = e->neg_count == 0;
+        left_.erase(node.id, token, key);
+        if (was_propagated) emit(node, token, Tag::Minus, sink, out);
+      }
+    }
+    return out;
+  }
+
+  /// Wme `wme` arrives at `node`'s right input; `key` is its right_key.
+  template <typename Sink>
+  JoinEmitted right_activation(const BetaNode& node, Tag tag, WmeId wme,
+                               std::span<const Value> key, Sink& sink) {
+    ++stats_.right_activations;
+    JoinEmitted out;
+    const ops5::Wme& w = wmes_.at(wme);
+    wme_token_.wmes.assign(1, wme);
+    if (node.kind == BetaNode::Kind::Join) {
+      if (tag == Tag::Plus) {
+        insert(right_, node.id, wme_token_, key);
+      } else if (!right_.erase(node.id, wme_token_, key)) {
+        ++stats_.stale_deletes;
+      }
+      for (HashedMemory::Entry* e : probe(left_, node.id, key)) {
+        if (!non_eq_tests_pass(node, e->token, w)) continue;
+        child_.wmes.assign(e->token.wmes.begin(), e->token.wmes.end());
+        child_.wmes.push_back(wme);
+        emit(node, child_, tag, sink, out);
+      }
+      return out;
+    }
+    // Negative node: each matching left token counts this wme as a
+    // blocker; a token emits when its count leaves or returns to zero.
+    if (tag == Tag::Plus) {
+      insert(right_, node.id, wme_token_, key);
+    } else if (!right_.erase(node.id, wme_token_, key)) {
+      ++stats_.stale_deletes;
+      return out;
+    }
+    for (HashedMemory::Entry* e : probe(left_, node.id, key)) {
+      if (!non_eq_tests_pass(node, e->token, w)) continue;
+      if (tag == Tag::Plus ? e->neg_count++ == 0 : --e->neg_count == 0) {
+        emit(node, e->token, tag == Tag::Plus ? Tag::Minus : Tag::Plus, sink,
+             out);
+      }
+    }
+    return out;
+  }
+
+ private:
+  void insert(HashedMemory& mem, NodeId node, const Token& token,
+              std::span<const Value> key) {
+    const std::uint32_t bucket =
+        mem.insert(node, token, std::vector<Value>(key.begin(), key.end()));
+    if (histograms_.occupancy != nullptr) {
+      histograms_.occupancy->observe(
+          static_cast<std::int64_t>(mem.cell_size(node, bucket)));
+    }
+  }
+
+  /// The opposite memory's entries under `key`, each counted as one
+  /// comparison.
+  std::vector<HashedMemory::Entry*> probe(HashedMemory& mem, NodeId node,
+                                          std::span<const Value> key) {
+    std::vector<HashedMemory::Entry*> candidates = mem.find(node, key);
+    stats_.comparisons += candidates.size();
+    if (histograms_.probe_len != nullptr) {
+      histograms_.probe_len->observe(
+          static_cast<std::int64_t>(candidates.size()));
+    }
+    return candidates;
+  }
+
+  /// The non-equality join tests (the equality ones hold by key).  A CE
+  /// reads `^right_attr <pred> <var>`: the right wme's value is the left
+  /// operand of the predicate, the token's binding the right operand.
+  [[nodiscard]] bool non_eq_tests_pass(const BetaNode& node,
+                                       const Token& token,
+                                       const ops5::Wme& w) const {
+    for (std::uint32_t i = node.n_eq_tests; i < node.tests.size(); ++i) {
+      const JoinTest& test = node.tests[i];
+      const Value& lv =
+          wmes_.at(token.wmes[test.left_pos]).get(test.left_attr);
+      if (!w.get(test.right_attr).test(test.pred, lv)) return false;
+    }
+    return true;
+  }
+
+  template <typename Sink>
+  void emit(const BetaNode& node, const Token& token, Tag tag, Sink& sink,
+            JoinEmitted& out) {
+    for (const BetaSuccessor& succ : node.successors) {
+      ++stats_.tokens_generated;
+      if (succ.kind == BetaSuccessor::Kind::Production) {
+        ++out.instantiations;
+        sink.instantiation(succ.production, token, tag);
+      } else {
+        ++out.successors;
+        sink.successor(succ.beta, token, tag);
+      }
+    }
+  }
+
+  const WmeTable& wmes_;
+  HashedMemory left_;
+  HashedMemory right_;
+  JoinHistograms histograms_;
+  EngineStats stats_;
+  Token child_;      // join child, built in place
+  Token wme_token_;  // a right activation's single-wme token
+};
+
+}  // namespace mpps::rete

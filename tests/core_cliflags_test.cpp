@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -92,6 +94,26 @@ class CliFlags : public ::testing::Test {
     return flag.sample;
   }
 
+  /// Flags `flag` is only valid beside.
+  static std::vector<std::string> companions(const CliFlag& flag) {
+    if (flag.name == "--profile" || flag.name == "--match-batch" ||
+        flag.name == "--match-mailbox") {
+      // These configure the parallel engine, so each is a usage error
+      // without --match-threads.
+      return {"--match-threads", "2"};
+    }
+    if (flag.name == "--replay") {
+      // A schedule ID only means something relative to one scenario.
+      return {"--scenario", "fused-add-delete"};
+    }
+    // Geometry flags are usage errors on a non-matching topology.
+    if (flag.name == "--net-dims") return {"--net", "mesh"};
+    if (flag.name == "--net-arity" || flag.name == "--net-levels") {
+      return {"--net", "fattree"};
+    }
+    return {};
+  }
+
   static std::string* dir_;
   static std::string* program_;
   static std::string* trace_;
@@ -111,23 +133,8 @@ TEST_F(CliFlags, EveryDocumentedFlagIsAccepted) {
             << cmd.name << " " << flag.name << ": value flag needs a sample";
         args.push_back(sample_for(cmd, flag));
       }
-      if (flag.name == "--profile" || flag.name == "--match-batch" ||
-          flag.name == "--match-mailbox") {
-        // These configure the parallel engine, so each is a usage error
-        // without --match-threads.
-        args.insert(args.end(), {"--match-threads", "2"});
-      }
-      if (flag.name == "--replay") {
-        // A schedule ID only means something relative to one scenario.
-        args.insert(args.end(), {"--scenario", "fused-add-delete"});
-      }
-      if (flag.name == "--net-dims") {
-        // Geometry flags are usage errors on a non-matching topology.
-        args.insert(args.end(), {"--net", "mesh"});
-      }
-      if (flag.name == "--net-arity" || flag.name == "--net-levels") {
-        args.insert(args.end(), {"--net", "fattree"});
-      }
+      const std::vector<std::string> extra = companions(flag);
+      args.insert(args.end(), extra.begin(), extra.end());
       const CliRun r = cli(args);
       EXPECT_EQ(r.err.find("unknown flag"), std::string::npos)
           << cmd.name << " rejected documented flag " << flag.name << ": "
@@ -135,6 +142,68 @@ TEST_F(CliFlags, EveryDocumentedFlagIsAccepted) {
       EXPECT_EQ(r.code, 0) << cmd.name << " " << flag.name << " failed: "
                            << r.err;
     }
+  }
+}
+
+/// An integer flag is one whose table sample is an integer or an
+/// integer list ("2,4", "6x6").
+bool takes_integers(const CliFlag& flag) {
+  return !flag.sample.empty() &&
+         std::isdigit(static_cast<unsigned char>(flag.sample[0])) != 0 &&
+         flag.sample.find_first_not_of("0123456789,x") == std::string::npos;
+}
+
+TEST_F(CliFlags, MalformedIntegerIsUsageErrorOnEveryIntegerFlag) {
+  // No integer flag falls back to its default on garbage: each bad value
+  // is a usage error (exit 2) that names the flag.
+  std::size_t checked = 0;
+  for (const CliCommand& cmd : cli_commands()) {
+    for (const CliFlag& flag : cmd.flags) {
+      if (!takes_integers(flag)) continue;
+      ++checked;
+      for (const char* bad : {"abc", "12x"}) {
+        std::vector<std::string> args = base_invocation(cmd);
+        const auto given = std::find(args.begin(), args.end(), flag.name);
+        if (given != args.end()) {
+          *(given + 1) = bad;  // a flag the base invocation already sets
+        } else {
+          args.insert(args.end(), {flag.name, bad});
+        }
+        const std::vector<std::string> extra = companions(flag);
+        args.insert(args.end(), extra.begin(), extra.end());
+        const CliRun r = cli(args);
+        EXPECT_EQ(r.code, 2) << cmd.name << " " << flag.name << " " << bad
+                             << ": " << r.err;
+        EXPECT_NE(r.err.find("usage error: " + flag.name), std::string::npos)
+            << cmd.name << " " << flag.name << " " << bad << ": " << r.err;
+      }
+    }
+  }
+  EXPECT_GE(checked, 30u);
+}
+
+TEST_F(CliFlags, OutOfRangeIntegerIsUsageError) {
+  const struct {
+    std::vector<std::string> args;
+    const char* flag;
+  } cases[] = {
+      {{"sweep", *trace_, "--runs", "1,x"}, "--runs"},
+      {{"sweep", *trace_, "--runs", "9"}, "--runs"},
+      {{"simulate", *trace_, "--run", "5"}, "--run"},
+      {{"run", *program_, "--watch", "3"}, "--watch"},
+      {{"run", *program_, "--seed", "-1"}, "--seed"},
+      {{"run", *program_, "--match-threads", "-2"}, "--match-threads"},
+      {{"serve", *program_, "--sessions", "99999999999"}, "--sessions"},
+      {{"slice", *trace_, "--from", "-1"}, "--from"},
+      {{"trace", *program_, "--buckets", "0"}, "--buckets"},
+      {{"check", "--seed", ""}, "--seed"},
+  };
+  for (const auto& c : cases) {
+    const CliRun r = cli(c.args);
+    EXPECT_EQ(r.code, 2) << c.flag << ": " << r.err;
+    EXPECT_NE(r.err.find(std::string("usage error: ") + c.flag),
+              std::string::npos)
+        << r.err;
   }
 }
 

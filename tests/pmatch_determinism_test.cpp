@@ -167,6 +167,47 @@ TEST(PmatchDeterminism, MetricsRegistryGetsMeasuredSkew) {
   EXPECT_NE(csv.find("rete.activations"), std::string::npos);
 }
 
+TEST(PmatchDeterminism, RegistryMirrorsEngineStats) {
+  // Both engines flush their EngineStats into the same rete.* counters
+  // through one helper; after a run the registry must equal stats(), and
+  // the live-token gauge must not depend on who ran the match.
+  std::int64_t serial_live = -1;
+  for (const std::uint32_t threads : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads (0 = serial)");
+    obs::Registry registry;
+    rete::InterpreterOptions options;
+    options.max_cycles = 2000;
+    options.engine.metrics = &registry;
+    if (threads > 0) {
+      options.engine_factory =
+          pmatch::parallel_engine_factory(threaded(threads));
+    }
+    rete::Interpreter interp(
+        ops5::parse_program(load_program("blocks.ops")), options);
+    interp.load_initial_wmes();
+    interp.run();
+    const rete::EngineStats& stats = interp.match_engine().stats();
+    ASSERT_GT(stats.left_activations, 0u);
+    EXPECT_EQ(registry.counter("rete.activations", {{"side", "left"}}).value(),
+              stats.left_activations);
+    EXPECT_EQ(
+        registry.counter("rete.activations", {{"side", "right"}}).value(),
+        stats.right_activations);
+    EXPECT_EQ(registry.counter("rete.tokens_generated").value(),
+              stats.tokens_generated);
+    EXPECT_EQ(registry.counter("rete.comparisons").value(), stats.comparisons);
+    EXPECT_EQ(registry.counter("rete.stale_deletes").value(),
+              stats.stale_deletes);
+    const std::int64_t live = registry.gauge("rete.live_tokens").value();
+    if (threads == 0) {
+      serial_live = live;
+      EXPECT_GT(live, 0);
+    } else {
+      EXPECT_EQ(live, serial_live);
+    }
+  }
+}
+
 TEST(PmatchDeterminism, RejectsMismatchedAssignment) {
   const ops5::Program program =
       ops5::parse_program(load_program("counter.ops"));

@@ -4,8 +4,9 @@
 // mailbox depth can never exceed the configured capacity unless an
 // overflow was counted, per-worker activation counts must sum to the
 // engine totals, and all deterministic counters must merge bit-identically
-// across thread counts and across repeated runs.  scripts/ci.sh runs this
-// suite under TSan (it is part of pmatch_tests).
+// across thread counts and across repeated runs.  The work-item pools
+// must stay bounded under one-sided cross-worker traffic.  scripts/ci.sh
+// runs this suite under TSan (it is part of pmatch_tests).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "src/obs/profiler.hpp"
 #include "src/ops5/parser.hpp"
+#include "src/ops5/wme.hpp"
 #include "src/pmatch/engine.hpp"
 #include "src/rete/interp.hpp"
 #include "tests/pmatch_test_util.hpp"
@@ -134,12 +136,80 @@ TEST_P(WorkerStatsInvariants, CountersStableAcrossRepeatedRuns) {
               second.workers[w].messages_sent);
     EXPECT_EQ(first.workers[w].local_deliveries,
               second.workers[w].local_deliveries);
+    EXPECT_EQ(first.workers[w].pooled_items, second.workers[w].pooled_items);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BenchWorkloads, WorkerStatsInvariants,
                          ::testing::Values("bench_fanout.ops",
                                            "bench_chain.ops"));
+
+// --- Item pools under one-sided traffic -------------------------------------
+// A worker recycles the work items it processed but takes items for the
+// children it sends, so a worker that receives more than it sends gains
+// pooled items every phase.  The pools must stop growing once a periodic
+// change stream has shown them its largest phase.
+
+constexpr const char* kTwoJoinSource =
+    "(p chain (a ^k <x>) (b ^k <x>) (c ^k <x>) --> (halt))\n";
+
+/// Builds the chain a-b-c on key `k` and tears it down, one change per
+/// phase.  Both joins emit on key `k`, so every cross-worker message
+/// goes from the first join's owner to the second's.
+std::vector<ops5::WmeChange> chain_period(int k) {
+  ops5::WorkingMemory wm;
+  std::vector<WmeId> ids;
+  for (const char* cls : {"a", "b", "c"}) {
+    ids.push_back(wm.add(ops5::parse_wme("(" + std::string(cls) + " ^k " +
+                                         std::to_string(k) + ")")));
+  }
+  for (const WmeId id : ids) wm.remove(id);
+  return wm.drain_changes();
+}
+
+std::uint64_t pooled_total(const pmatch::ParallelEngine& engine) {
+  std::uint64_t total = 0;
+  for (const pmatch::WorkerStats& w : engine.worker_stats()) {
+    total += w.pooled_items;
+  }
+  return total;
+}
+
+TEST(WorkerPools, PooledItemsStopGrowingUnderOneSidedTraffic) {
+  const rete::Network net =
+      rete::Network::compile(ops5::parse_program(kTwoJoinSource));
+  pmatch::ParallelOptions popts;
+  popts.threads = 2;
+  // Pick a key whose two joins land on different workers, so exactly one
+  // worker sends messages.
+  std::vector<ops5::WmeChange> period;
+  for (int k = 0; k < 32 && period.empty(); ++k) {
+    pmatch::ParallelEngine probe(net, popts);
+    const std::vector<ops5::WmeChange> changes = chain_period(k);
+    for (const ops5::WmeChange& change : changes) probe.process_change(change);
+    const std::vector<pmatch::WorkerStats> ws = probe.worker_stats();
+    if ((ws[0].messages_sent == 0) != (ws[1].messages_sent == 0)) {
+      period = changes;
+    }
+  }
+  ASSERT_FALSE(period.empty()) << "no key gives one-sided traffic";
+
+  pmatch::ParallelEngine engine(net, popts);
+  const auto run_periods = [&](int periods) {
+    for (int i = 0; i < periods; ++i) {
+      for (const ops5::WmeChange& change : period) {
+        engine.process_change(change);
+      }
+    }
+  };
+  run_periods(4);
+  const std::uint64_t after_n = pooled_total(engine);
+  run_periods(4);
+  EXPECT_GT(after_n, 0u);
+  EXPECT_EQ(pooled_total(engine), after_n)
+      << "pools grew between phase " << 4 * period.size() << " and "
+      << 8 * period.size();
+}
 
 }  // namespace
 }  // namespace mpps

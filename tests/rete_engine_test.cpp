@@ -287,5 +287,25 @@ TEST(Engine, SingleBucketStressWithFewBuckets) {
   EXPECT_EQ(f.cs_size(), 2u);
 }
 
+TEST(StatsMirror, FlushAddsOnlyTheDeltaSinceTheLastFlush) {
+  obs::Registry registry;
+  StatsMirror mirror(&registry);
+  EngineStats stats;
+  stats.left_activations = 3;
+  stats.comparisons = 5;
+  mirror.flush(stats, 7);
+  stats.left_activations = 4;
+  stats.stale_deletes = 1;
+  mirror.flush(stats, 2);
+  EXPECT_EQ(registry.counter("rete.activations", {{"side", "left"}}).value(),
+            4u);
+  EXPECT_EQ(registry.counter("rete.comparisons").value(), 5u);
+  EXPECT_EQ(registry.counter("rete.stale_deletes").value(), 1u);
+  EXPECT_EQ(registry.gauge("rete.live_tokens").value(), 2);
+  StatsMirror detached(nullptr);
+  detached.flush(stats, 9);  // no registry: nothing to record
+  EXPECT_EQ(registry.gauge("rete.live_tokens").value(), 2);
+}
+
 }  // namespace
 }  // namespace mpps::rete

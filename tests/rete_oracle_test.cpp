@@ -2,6 +2,10 @@
 // changes, the Rete engine's conflict set equals the brute-force matcher's
 // output on the same working memory.  Programs and change sequences are
 // generated pseudo-randomly; each seed is one parameterized test case.
+// Both match engines run their joins through one kernel (rete/join.hpp),
+// so each is checked here against `naive_match`, which shares no code
+// with it: the serial engine after every change, and the parallel engine
+// at 2 and 4 threads after every flush of a random-sized batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +15,7 @@
 #include "src/common/rng.hpp"
 #include "src/ops5/ast.hpp"
 #include "src/ops5/wme.hpp"
+#include "src/pmatch/engine.hpp"
 #include "src/rete/engine.hpp"
 #include "src/rete/naive.hpp"
 #include "src/rete/network.hpp"
@@ -136,36 +141,87 @@ std::vector<Key> normalize(const std::vector<Instantiation>& insts) {
   return out;
 }
 
+/// One seed's random program, bucket count and stream of WM changes.
+class RandomRun {
+ public:
+  explicit RandomRun(std::uint64_t seed)
+      : rng_(seed),
+        program_(random_program(rng_)),
+        net_(Network::compile(program_)),
+        num_buckets_(1 + static_cast<std::uint32_t>(rng_.below(32))) {}
+
+  [[nodiscard]] const Network& net() const { return net_; }
+  [[nodiscard]] std::uint32_t num_buckets() const { return num_buckets_; }
+
+  /// Makes one random add or remove; returns the resulting changes.
+  std::vector<WmeChange> step() {
+    const bool do_remove = !live_.empty() && rng_.below(3) == 0;
+    if (do_remove) {
+      const std::uint64_t pick = rng_.below(live_.size());
+      wm_.remove(live_[pick]);
+      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else {
+      live_.push_back(wm_.add(random_wme(rng_)));
+    }
+    return wm_.drain_changes();
+  }
+
+  /// The brute-force conflict set of the working memory so far.
+  [[nodiscard]] std::vector<Key> expected() const {
+    return normalize(naive_match(program_, wm_.all()));
+  }
+
+ private:
+  Rng rng_;
+  Program program_;
+  Network net_;
+  std::uint32_t num_buckets_;
+  WorkingMemory wm_;
+  std::vector<WmeId> live_;
+};
+
+constexpr int kSteps = 40;
+
 class OracleProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OracleProperty, ReteMatchesBruteForceAfterEveryChange) {
-  Rng rng(GetParam());
-  const Program program = random_program(rng);
-  const Network net = Network::compile(program);
+  RandomRun run(GetParam());
   EngineOptions opts;
-  opts.num_buckets = 1 + static_cast<std::uint32_t>(rng.below(32));
-  Engine engine(net, opts);
-  WorkingMemory wm;
-  std::vector<WmeId> live;
-
-  for (int step = 0; step < 40; ++step) {
-    const bool do_remove = !live.empty() && rng.below(3) == 0;
-    if (do_remove) {
-      const std::uint64_t pick = rng.below(live.size());
-      wm.remove(live[pick]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else {
-      live.push_back(wm.add(random_wme(rng)));
-    }
-    for (const auto& change : wm.drain_changes()) {
+  opts.num_buckets = run.num_buckets();
+  Engine engine(run.net(), opts);
+  for (int step = 0; step < kSteps; ++step) {
+    for (const auto& change : run.step()) {
       engine.process_change(change);
     }
-    const auto expected = normalize(naive_match(program, wm.all()));
-    const auto actual = normalize(engine.conflict_set().all());
-    ASSERT_EQ(actual, expected)
+    ASSERT_EQ(normalize(engine.conflict_set().all()), run.expected())
         << "divergence at step " << step << " (seed " << GetParam() << ")";
   }
   EXPECT_EQ(engine.stats().stale_deletes, 0u);
+}
+
+TEST_P(OracleProperty, ParallelMatchesBruteForceAfterEveryFlush) {
+  for (const std::uint32_t threads : {2u, 4u}) {
+    RandomRun run(GetParam());
+    pmatch::ParallelOptions popts;
+    popts.threads = threads;
+    popts.num_buckets = run.num_buckets();
+    pmatch::ParallelEngine engine(run.net(), popts);
+    Rng batch_sizes(GetParam() * 1000 + threads);  // leaves `run`'s draws
+    for (int step = 0; step < kSteps;) {
+      const std::uint64_t batch = 1 + batch_sizes.below(6);
+      engine.begin_batch();
+      for (std::uint64_t i = 0; i < batch && step < kSteps; ++i, ++step) {
+        for (const auto& change : run.step()) {
+          engine.process_change(change);
+        }
+      }
+      engine.flush();
+      ASSERT_EQ(normalize(engine.conflict_set().all()), run.expected())
+          << "divergence after step " << step - 1 << " (seed " << GetParam()
+          << ", " << threads << " threads)";
+    }
+    EXPECT_EQ(engine.stats().stale_deletes, 0u) << threads << " threads";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, OracleProperty,
