@@ -74,9 +74,12 @@ void run_lockstep(const std::string& source, std::uint32_t threads,
   EXPECT_EQ(serial.halted(), parallel.halted());
 }
 
+// The program name is a std::string, not a const char*: gtest prints a
+// char pointer inside a tuple as its address, and that address would land
+// in the ctest test name and change with every build (ASLR).
 class BatchedOracle
     : public ::testing::TestWithParam<
-          std::tuple<const char*, std::uint32_t, std::uint32_t>> {};
+          std::tuple<std::string, std::uint32_t, std::uint32_t>> {};
 
 TEST_P(BatchedOracle, ConflictSetsMatchSerialEngine) {
   const auto [program, threads, batch] = GetParam();

@@ -82,8 +82,10 @@ void run_lockstep(const std::string& source, const LockstepOptions& opts) {
   EXPECT_EQ(dump(serial), dump(parallel));
 }
 
+// std::string, not const char*, so the test name does not carry a
+// per-build pointer (see BatchedOracle in pmatch_batch_test.cpp).
 class PmatchOracleExamples
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t>> {
 };
 
 TEST_P(PmatchOracleExamples, ConflictSetsMatchSerialEngine) {
