@@ -74,16 +74,13 @@ int main(int argc, char** argv) {
       index += 2;
       const SimTime moving = core::migration_overhead(
           section.trace, greedy_maps[greedy_index++], per_token);
-      const SimTime base = rr.baseline;
-      auto speedup_of = [&](SimTime t) {
-        return static_cast<double>(base.nanos()) /
-               static_cast<double>(t.nanos());
-      };
       table.row()
           .cell(static_cast<long>(p))
           .cell(rr.speedup, 2)
           .cell(greedy.speedup, 2)
-          .cell(speedup_of(greedy.result.makespan + moving), 2)
+          .cell(sim::speedup_ratio(rr.baseline,
+                                   greedy.result.makespan + moving),
+                2)
           .cell(moving.micros(), 0);
     }
     std::cout << "\n" << section.label << ":\n";

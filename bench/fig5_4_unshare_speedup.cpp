@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
       core::unshare_node(before, trace::weaver_bottleneck_node());
   const trace::Trace dummies = core::insert_dummy_nodes(
       before, trace::weaver_bottleneck_node(), 4, 8);
+  const SimTime base = sim::baseline_time(before);
 
   TextTable table(
       {"processors", "weaver", "weaver+unshare", "weaver+dummy-nodes"});
@@ -24,9 +25,9 @@ int main(int argc, char** argv) {
     const auto config = bench::config_for(p, 0);
     table.row()
         .cell(static_cast<long>(p))
-        .cell(bench::speedup_vs(before, before, config), 2)
-        .cell(bench::speedup_vs(before, after, config), 2)
-        .cell(bench::speedup_vs(before, dummies, config), 2);
+        .cell(bench::speedup_vs(base, before, config), 2)
+        .cell(bench::speedup_vs(base, after, config), 2)
+        .cell(bench::speedup_vs(base, dummies, config), 2);
   }
   bench::emit_table(table, argc, argv, std::cout);
   std::cout << "\nSpeedups are relative to the ORIGINAL section's serial\n"

@@ -21,14 +21,15 @@ int main(int argc, char** argv) {
   const trace::Trace after = core::copy_constrain_node(
       core::copy_constrain_node(before, trace::tourney_cross_node(), 8),
       trace::tourney_cross_local_node(), 8);
+  const SimTime base = sim::baseline_time(before);
 
   TextTable table({"processors", "tourney", "tourney+copy&constraint"});
   for (std::uint32_t p : bench::sweep_procs()) {
     const auto config = bench::config_for(p, 0);
     table.row()
         .cell(static_cast<long>(p))
-        .cell(bench::speedup_vs(before, before, config), 2)
-        .cell(bench::speedup_vs(before, after, config), 2);
+        .cell(bench::speedup_vs(base, before, config), 2)
+        .cell(bench::speedup_vs(base, after, config), 2);
   }
   bench::emit_table(table, argc, argv, std::cout);
 

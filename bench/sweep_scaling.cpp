@@ -53,11 +53,6 @@ int main(int argc, char** argv) {
             << sections.size() << " sections x " << procs.size()
             << " processor counts x " << runs.size() << " overhead runs)\n";
 
-  // Warm the per-trace baseline cache so neither timed run pays for it.
-  for (const auto& section : sections) {
-    sim::BaselineCache::shared().baseline(section.trace);
-  }
-
   std::vector<core::SweepOutcome> serial;
   std::vector<core::SweepOutcome> parallel;
   const double serial_ms =

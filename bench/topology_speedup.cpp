@@ -71,7 +71,8 @@ std::string geometry_of(const sim::NetStats& net) {
 }
 
 Row measure(const std::string& workload, const mpps::trace::Trace& trace,
-            std::uint32_t procs, const sim::NetworkConfig& net) {
+            mpps::SimTime baseline, std::uint32_t procs,
+            const sim::NetworkConfig& net) {
   sim::SimConfig config;
   config.match_processors = procs;
   config.costs = sim::CostModel::paper_run(2);
@@ -94,7 +95,7 @@ Row measure(const std::string& workload, const mpps::trace::Trace& trace,
   row.geometry = geometry_of(result.net);
   row.procs = procs;
   row.makespan_ms = static_cast<double>(result.makespan.nanos()) / 1e6;
-  row.speedup = sim::speedup(trace, config, assignment);
+  row.speedup = sim::speedup_ratio(baseline, result.makespan);
   row.network_busy_ms = static_cast<double>(result.network_busy.nanos()) / 1e6;
   row.contention_ms = static_cast<double>(result.net.total_delay.nanos()) / 1e6;
   row.avg_hops = result.net.avg_hops();
@@ -138,9 +139,10 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const auto& [name, trace] : workloads) {
+    const mpps::SimTime baseline = sim::baseline_time(trace);
     for (const std::uint32_t procs : proc_counts) {
       for (const sim::NetworkConfig& net : topologies) {
-        Row row = measure(name, trace, procs, net);
+        Row row = measure(name, trace, baseline, procs, net);
         std::cout << row.workload << " @ " << row.procs << " procs on "
                   << row.topology << " (" << row.geometry
                   << "): speedup " << row.speedup << ", makespan "

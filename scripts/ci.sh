@@ -169,10 +169,12 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" --timeout 120
 
 echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/) ==="
 # TSan is incompatible with ASan/UBSan in one binary, so it gets its own
-# tree; only the multi-threaded code (SweepRunner, BaselineCache, the
-# pmatch worker pool) and its tests need the pass, so build and run just
-# those targets.  pmatch_tests includes the differential oracle at
-# 1/2/4/8 worker threads, the round-batched oracle and mailbox suites
+# tree; only the multi-threaded code (SweepRunner with the baselines its
+# workers read, the pmatch worker pool) and its tests need the pass, so
+# build and run just those targets.  sweep_tests includes scenarios whose
+# baseline is another scenario's trace, run at 1, 4 and 9 jobs.
+# pmatch_tests includes the differential oracle at 1/2/4/8 worker
+# threads, the round-batched oracle and mailbox suites
 # (pmatch_batch_test / pmatch_mailbox_test — fused phases stress the
 # sharded mailbox and the cross-round merge paths hardest), plus the
 # profiler integration and WorkerStats suites (pmatch_profile_test /
@@ -196,9 +198,10 @@ cmake --build build-tsan -j --target sweep_tests pmatch_tests network_tests \
 ./build-tsan/tests/serve_tests
 ./build-tsan/tests/rete_oracle_tests --gtest_filter='*ParallelMatches*'
 # The network layer itself is single-threaded, but the sweep engine
-# replays topology configurations across worker threads (shared
-# BaselineCache, per-run NetworkModel instances) — run the suite here so
-# a future shared-state shortcut in a model surfaces as a race.
+# replays topology configurations across worker threads (baselines
+# resolved before the fan-out and only read by the workers, per-run
+# NetworkModel instances) — run the suite here so a future shared-state
+# shortcut in a model surfaces as a race.
 ./build-tsan/tests/network_tests
 ./build-tsan/tools/mpps selfcheck --rounds 10 --seed 1
 

@@ -341,7 +341,8 @@ std::string usage_text() {
 /// flag value, or a stray positional argument is a UsageError.
 class Args {
  public:
-  Args(const std::vector<std::string>& args, const CommandSpec& spec) {
+  Args(const std::vector<std::string>& args, const CommandSpec& spec)
+      : spec_(&spec) {
     for (std::size_t i = 0; i < args.size(); ++i) {
       const FlagSpec* flag = find_flag(spec, args[i]);
       if (flag != nullptr) {
@@ -395,6 +396,11 @@ class Args {
            switches_.end();
   }
 
+  /// The metavar the flag table declares for `name` ("lex|mea").
+  [[nodiscard]] std::string_view metavar(const std::string& name) const {
+    return find_flag(*spec_, name)->value;
+  }
+
  private:
   static const FlagSpec* find_flag(const CommandSpec& spec,
                                    const std::string& name) {
@@ -404,6 +410,7 @@ class Args {
     return nullptr;
   }
 
+  const CommandSpec* spec_;
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::string> switches_;
   std::vector<std::string> positionals_;
@@ -457,6 +464,25 @@ std::vector<T> int_list_flag(const Args& args, const std::string& flag,
     if (end == list.size()) return out;
     start = end + 1;
   }
+}
+
+/// An enumerated flag: one of the values its table metavar lists
+/// ("lex|mea"), the first of them when absent; any other value is a
+/// UsageError naming the flag and the allowed values.
+std::string enum_flag(const Args& args, const std::string& flag) {
+  const std::string_view allowed = args.metavar(flag);
+  const std::string* given = args.find(flag);
+  if (given == nullptr) {
+    return std::string(allowed.substr(0, allowed.find('|')));
+  }
+  for (std::size_t start = 0;;) {
+    const std::size_t end = std::min(allowed.find('|', start), allowed.size());
+    if (allowed.substr(start, end - start) == *given) return *given;
+    if (end == allowed.size()) break;
+    start = end + 1;
+  }
+  throw UsageError(flag + ": '" + *given + "' is not one of " +
+                   std::string(allowed));
 }
 
 std::string read_file(const std::string& path) {
@@ -609,6 +635,21 @@ sim::CostModel cost_model_for_run(int run) {
                   : sim::CostModel::paper_run(run);
 }
 
+/// The bucket assignment an `--assign rr|random|greedy` policy deals for
+/// `config`'s partitions.
+sim::Assignment assignment_for(const std::string& policy,
+                               const trace::Trace& t,
+                               const sim::SimConfig& config,
+                               std::uint64_t seed) {
+  if (policy == "random") {
+    return sim::Assignment::random(t.num_buckets, config.partitions(), seed);
+  }
+  if (policy == "greedy") {
+    return greedy_assignment(t, config.partitions(), config.costs);
+  }
+  return sim::Assignment::round_robin(t.num_buckets, config.partitions());
+}
+
 /// The `--json` network object of one run: resolved geometry plus the
 /// charged-traffic aggregates (shared by every command emitting results).
 void json_network(JsonWriter& w, const sim::NetStats& net) {
@@ -735,7 +776,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   obs::Tracer tracer;
   obs::Profiler profiler;
   rete::InterpreterOptions options;
-  options.strategy = args.value("--strategy", "lex") == "mea"
+  options.strategy = enum_flag(args, "--strategy") == "mea"
                          ? rete::Strategy::Mea
                          : rete::Strategy::Lex;
   options.max_cycles = int_flag<std::size_t>(args, "--max-cycles", 100000, 0);
@@ -744,10 +785,11 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   options.watch = int_flag<int>(args, "--watch", 0, 0, 2);
   if (obs_out.any()) options.engine.metrics = &registry;
 
-  // Every integer flag is read before the run, so a malformed one fails
-  // fast even when this invocation would not use it.
+  // Every integer and enum flag is read before the run, so a malformed
+  // one fails fast even when this invocation would not use it.
   const auto match_threads =
       int_flag<std::uint32_t>(args, "--match-threads", 0, 0);
+  const std::string match_assign = enum_flag(args, "--match-assign");
   const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   const int run_model = parse_run_model(args, 1);
   const std::vector<std::uint32_t> procs_list =
@@ -769,7 +811,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   } else {
     pmatch::ParallelOptions popts;
     popts.threads = match_threads;
-    if (args.value("--match-assign", "rr") == "random") {
+    if (match_assign == "random") {
       popts.partition = pmatch::ParallelOptions::Partition::Random;
       popts.seed = seed;
     }
@@ -1298,13 +1340,13 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   config.match_processors = procs_list.front();
   const int run = parse_run_model(args, 1);
   config.costs = cost_model_for_run(run);
-  const std::string mapping = args.value("--mapping", "merged");
+  const std::string mapping = enum_flag(args, "--mapping");
   if (mapping == "pairs") {
     config.mapping = sim::MappingMode::ProcessorPairs;
   }
   config.constant_test_processors = int_flag<std::uint32_t>(args, "--ct", 0, 0);
   config.conflict_set_processors = int_flag<std::uint32_t>(args, "--cs", 0, 0);
-  const std::string termination = args.value("--termination", "none");
+  const std::string termination = enum_flag(args, "--termination");
   if (termination == "ack") {
     config.termination = sim::TerminationModel::AckCounting;
   } else if (termination == "poll") {
@@ -1315,17 +1357,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
                 config.constant_test_processors +
                 config.conflict_set_processors);
 
-  const std::string assign = args.value("--assign", "rr");
+  const std::string assign = enum_flag(args, "--assign");
   const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   const auto jobs = int_flag<unsigned>(args, "--jobs", 0);
-  const auto assignment_for = [&](const sim::SimConfig& cfg) {
-    return assign == "random"
-               ? sim::Assignment::random(t.num_buckets, cfg.partitions(), seed)
-           : assign == "greedy"
-               ? greedy_assignment(t, cfg.partitions(), cfg.costs)
-               : sim::Assignment::round_robin(t.num_buckets,
-                                              cfg.partitions());
-  };
 
   const ObsOutputs obs_out = ObsOutputs::from(args);
   obs::Registry registry;
@@ -1339,7 +1373,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     w.field("schema_version", kSchemaVersion);
     w.field("command", "simulate");
     w.field("trace", t.name);
-    w.field("mapping", mapping == "pairs" ? "pairs" : "merged");
+    w.field("mapping", mapping);
     w.field("assign", assign);
     w.field("termination", termination);
     w.key("results");
@@ -1357,10 +1391,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       config.tracer = &tracer;
     }
     const sim::SimResult result =
-        sim::simulate(t, config, assignment_for(config));
-    const SimTime base = sim::baseline_time(t);
-    const double speedup = static_cast<double>(base.nanos()) /
-                           static_cast<double>(result.makespan.nanos());
+        sim::simulate(t, config, assignment_for(assign, t, config, seed));
+    const double speedup =
+        sim::speedup_ratio(sim::baseline_time(t), result.makespan);
     if (json) {
       write_json(procs_list, {&result}, {speedup});
     } else {
@@ -1395,7 +1428,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     scenario.trace = &t;
     scenario.config = config;
     scenario.config.match_processors = procs;
-    scenario.assignment = assignment_for(scenario.config);
+    scenario.assignment = assignment_for(assign, t, scenario.config, seed);
     scenarios.push_back(std::move(scenario));
   }
   const SweepRunner runner(sweep_options);
@@ -1455,8 +1488,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const std::vector<int> runs =
       int_list_flag<int>(args, "--runs", "1,2,3,4", 0, 4);
 
-  const bool pairs = args.value("--mapping", "merged") == "pairs";
-  const std::string assign = args.value("--assign", "rr");
+  const bool pairs = enum_flag(args, "--mapping") == "pairs";
+  const std::string assign = enum_flag(args, "--assign");
   const auto seed = int_flag<std::uint64_t>(args, "--seed", 1, 0);
   const sim::NetworkConfig network = parse_network(
       args, 1 + *std::max_element(procs.begin(), procs.end()));
@@ -1475,15 +1508,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       if (pairs) scenario.config.mapping = sim::MappingMode::ProcessorPairs;
       scenario.config.costs = cost_model_for_run(run);
       scenario.config.network = network;
-      scenario.assignment =
-          assign == "random"
-              ? sim::Assignment::random(t.num_buckets,
-                                        scenario.config.partitions(), seed)
-          : assign == "greedy"
-              ? greedy_assignment(t, scenario.config.partitions(),
-                                  scenario.config.costs)
-              : sim::Assignment::round_robin(t.num_buckets,
-                                             scenario.config.partitions());
+      scenario.assignment = assignment_for(assign, t, scenario.config, seed);
       scenarios.push_back(std::move(scenario));
     }
   }

@@ -41,6 +41,7 @@ PipelineResult record_trace_from_source(std::string_view source,
 std::vector<SpeedupPoint> speedup_curve(const trace::Trace& trace,
                                         const std::vector<std::uint32_t>& procs,
                                         const std::vector<int>& runs) {
+  const SimTime base = sim::baseline_time(trace);
   std::vector<SpeedupPoint> out;
   for (int run : runs) {
     for (std::uint32_t p : procs) {
@@ -51,8 +52,11 @@ std::vector<SpeedupPoint> speedup_curve(const trace::Trace& trace,
       SpeedupPoint point;
       point.procs = p;
       point.run = run;
-      point.speedup = sim::speedup(
-          trace, config, sim::Assignment::round_robin(trace.num_buckets, p));
+      const SimTime t =
+          sim::simulate(trace, config,
+                        sim::Assignment::round_robin(trace.num_buckets, p))
+              .makespan;
+      point.speedup = sim::speedup_ratio(base, t);
       out.push_back(point);
     }
   }

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "src/common/error.hpp"
 #include "src/sim/invariants.hpp"
@@ -19,18 +20,6 @@ SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
 
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<SweepScenario>& scenarios) const {
-  // Warm the shared baseline cache serially before fanning out: each
-  // distinct trace is simulated exactly once and the workers only read.
-  for (const SweepScenario& scenario : scenarios) {
-    if (scenario.trace == nullptr) {
-      throw RuntimeError("sweep scenario '" + scenario.label +
-                         "' has no trace");
-    }
-    const trace::Trace& base =
-        scenario.baseline != nullptr ? *scenario.baseline : *scenario.trace;
-    sim::BaselineCache::shared().baseline(base);
-  }
-
   // One slot per scenario: workers write only their own slot, so the
   // collected results are ordered by scenario no matter which worker ran
   // what.
@@ -40,6 +29,24 @@ std::vector<SweepOutcome> SweepRunner::run(
     obs::Tracer tracer;
   };
   std::vector<Slot> slots(scenarios.size());
+
+  // Each distinct baseline trace is simulated once per call, before the
+  // fan-out, keyed by address: the caller keeps every trace alive and
+  // unchanged for the call.  The workers only read the baselines.
+  std::unordered_map<const trace::Trace*, SimTime> resolved;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const SweepScenario& scenario = scenarios[i];
+    if (scenario.trace == nullptr) {
+      throw RuntimeError("sweep scenario '" + scenario.label +
+                         "' has no trace");
+    }
+    const trace::Trace* base =
+        scenario.baseline != nullptr ? scenario.baseline : scenario.trace;
+    const auto [it, fresh] = resolved.try_emplace(base);
+    if (fresh) it->second = sim::baseline_time(*base);
+    slots[i].outcome.baseline = it->second;
+  }
+
   const bool collect_metrics = options_.metrics != nullptr;
   const bool collect_timeline = options_.tracer != nullptr;
 
@@ -71,16 +78,8 @@ std::vector<SweepOutcome> SweepRunner::run(
                                laws.summary());
           }
         }
-        const trace::Trace& base = scenario.baseline != nullptr
-                                       ? *scenario.baseline
-                                       : *scenario.trace;
-        slot.outcome.baseline = sim::BaselineCache::shared().baseline(base);
-        const SimTime t = slot.outcome.result.makespan;
-        slot.outcome.speedup =
-            t.nanos() == 0
-                ? 0.0
-                : static_cast<double>(slot.outcome.baseline.nanos()) /
-                      static_cast<double>(t.nanos());
+        slot.outcome.speedup = sim::speedup_ratio(
+            slot.outcome.baseline, slot.outcome.result.makespan);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(failure_mu);
         if (i < failure_index) {

@@ -12,10 +12,11 @@
 // order at join — so nothing observable depends on thread scheduling.
 // Asserted in tests/core_sweep_test.cpp.
 //
-// The serial zero-overhead baseline of each distinct trace is computed
-// once up front through sim::BaselineCache::shared() and shared by every
-// scenario over that trace (previously `sim::speedup` re-simulated it per
-// configuration).
+// Every speedup divides by the serial zero-overhead baseline of its
+// scenario's baseline trace.  `run` simulates each distinct baseline
+// trace once per call, before the fan-out, and every scenario over that
+// trace reads the result; nothing is remembered between calls, so a
+// trace changed between two calls gets a fresh baseline.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@
 
 namespace mpps::core {
 
-/// One independent replay.  The trace pointers are not owned and must
-/// outlive the sweep.
+/// One independent replay.  The trace pointers are not owned; they must
+/// outlive the `run` call and the traces must not change during it.
 struct SweepScenario {
   std::string label;
   const trace::Trace* trace = nullptr;

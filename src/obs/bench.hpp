@@ -26,21 +26,20 @@ inline std::vector<std::uint32_t> sweep_procs() {
   return {1, 2, 4, 6, 8, 12, 16, 20, 24, 28, 32, 48, 64};
 }
 
-/// Speedup of `variant_trace` under `config`, measured against the serial
-/// zero-overhead baseline of `baseline_trace` (transformed traces are
-/// compared against the ORIGINAL section's baseline, since they perform
-/// the same semantic work plus duplication).  The baseline comes from the
-/// shared per-trace cache, so sweeping many configs pays for it once.
-inline double speedup_vs(const trace::Trace& baseline_trace,
-                         const trace::Trace& variant_trace,
+/// Speedup of `variant_trace` under `config`, measured against `baseline`,
+/// the serial zero-overhead time of the section the variant came from
+/// (transformed traces are compared against the ORIGINAL section's
+/// baseline, since they perform the same semantic work plus
+/// duplication).  A caller sweeping many configs computes `baseline` once
+/// with `sim::baseline_time`.
+inline double speedup_vs(SimTime baseline, const trace::Trace& variant_trace,
                          const sim::SimConfig& config) {
-  const SimTime base = sim::BaselineCache::shared().baseline(baseline_trace);
-  const SimTime t =
+  return sim::speedup_ratio(
+      baseline,
       sim::simulate(variant_trace, config,
                     sim::Assignment::round_robin(variant_trace.num_buckets,
                                                  config.match_processors))
-          .makespan;
-  return static_cast<double>(base.nanos()) / static_cast<double>(t.nanos());
+          .makespan);
 }
 
 /// The `--jobs N` worker count passed to a bench binary; 0 (auto) when

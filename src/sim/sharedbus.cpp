@@ -109,10 +109,8 @@ SharedBusResult simulate_shared_bus(const trace::Trace& trace,
 
 double shared_bus_speedup(const trace::Trace& trace,
                           const SharedBusConfig& config) {
-  const SimTime base = baseline_time(trace);
-  const SimTime t = simulate_shared_bus(trace, config).makespan;
-  if (t.nanos() == 0) return 0.0;
-  return static_cast<double>(base.nanos()) / static_cast<double>(t.nanos());
+  return speedup_ratio(baseline_time(trace),
+                       simulate_shared_bus(trace, config).makespan);
 }
 
 }  // namespace mpps::sim

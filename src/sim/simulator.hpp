@@ -35,8 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/simtime.hpp"
@@ -156,54 +154,32 @@ struct SimResult {
 SimResult simulate(const trace::Trace& trace, const SimConfig& config,
                    const Assignment& assignment);
 
-/// Convenience: simulated time on one match processor with zero
-/// message-passing overheads — the paper's speedup baseline.  Always
-/// recomputes; prefer `BaselineCache` when the same trace is replayed
-/// under many configurations (every sweep does).
+/// Simulated time on one match processor with zero message-passing
+/// overheads — the paper's speedup baseline.  Always recomputes: a caller
+/// that replays one trace under many configurations computes it once and
+/// divides every makespan by it with `speedup_ratio` (the sweep engine
+/// resolves each distinct baseline trace once per `SweepRunner::run`).
 SimTime baseline_time(const trace::Trace& trace);
 
-/// Thread-safe memo of `baseline_time`, keyed by a structural fingerprint
-/// of the trace, so a sweep simulates the zero-overhead baseline once per
-/// trace instead of once per configuration.  Safe across trace copies and
-/// reloads: content-identical traces share one entry.  A fingerprint hit
-/// is verified against the full canonical encoding of the trace before it
-/// is trusted, so hash collisions produce a second entry instead of a
-/// silently wrong baseline (and thus wrong speedups everywhere).
+/// The paper's speedup, `baseline / makespan`; 0 when the makespan is 0
+/// (a trace with no activations), so no caller divides by zero.
+double speedup_ratio(SimTime baseline, SimTime makespan);
+
+/// Deprecated: a stateless forwarder to `baseline_time`.  It caches
+/// nothing; it stays only because the benchmark's traced sweep replay
+/// (perfbench/src/sweep.cpp) still calls it, and goes when that call
+/// does.  New code calls `baseline_time` once per trace.
 class BaselineCache {
  public:
-  /// Structural fingerprint function; injectable so tests can force
-  /// collisions (e.g. a constant) and exercise the verification path.
-  using Fingerprint = std::uint64_t (*)(const trace::Trace&);
+  /// `baseline_time(trace)`, recomputed on every call.
+  SimTime baseline(const trace::Trace& trace) const;
 
-  BaselineCache() = default;
-  explicit BaselineCache(Fingerprint fingerprint);
-
-  /// Cached baseline of `trace`; simulates and remembers it on first use.
-  SimTime baseline(const trace::Trace& trace);
-
-  /// Entries currently cached (for tests and capacity reasoning).
-  /// Colliding traces count individually.
-  [[nodiscard]] std::size_t size() const;
-
-  /// The process-wide instance used by `speedup` and the sweep engine.
+  /// The one (stateless) instance.
   static BaselineCache& shared();
-
-  /// The default fingerprint: FNV-1a over the canonical encoding.
-  static std::uint64_t fingerprint(const trace::Trace& trace);
-
- private:
-  struct Entry {
-    std::vector<std::uint64_t> structure;  // canonical field encoding
-    SimTime baseline{};
-  };
-
-  mutable std::mutex mu_;
-  Fingerprint fingerprint_ = &BaselineCache::fingerprint;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
 };
 
 /// Speedup of `config`/`assignment` relative to the serial zero-overhead
-/// baseline (thin wrapper over `BaselineCache::shared()` + `simulate`).
+/// baseline: `baseline_time` + `simulate`, two simulations per call.
 double speedup(const trace::Trace& trace, const SimConfig& config,
                const Assignment& assignment);
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -226,6 +228,42 @@ TEST(Cli, MalformedProcsListIsUsageError) {
   const CliRun sweep_bad = cli({"sweep", path, "--procs", "4,nope"});
   EXPECT_EQ(sweep_bad.code, 2);
   std::remove(path.c_str());
+}
+
+/// Every "speedup" value of a --json document, each checked to be a JSON
+/// number first (`-nan` and `inf` are not).
+std::vector<double> json_speedups(const std::string& json) {
+  const std::string key = "\"speedup\": ";
+  std::vector<double> out;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t start = at + key.size();
+    const std::string token =
+        json.substr(start, json.find_first_of(",\n}", start) - start);
+    EXPECT_EQ(token.find_first_not_of("-+.0123456789eE"), std::string::npos)
+        << "speedup is not a JSON number: " << token;
+    out.push_back(std::strtod(token.c_str(), nullptr));
+  }
+  return out;
+}
+
+TEST(Cli, ZeroCycleTraceHasZeroSpeedup) {
+  // A trace without cycles simulates in zero time: its speedup is 0 on
+  // the single-run path and on the --procs list path, never -nan.
+  const TempFile empty("zero_cycle.trace",
+                       "# mpps-trace v1\ntrace empty buckets 4\n");
+  const CliRun single = cli({"simulate", empty.path(), "--json"});
+  ASSERT_EQ(single.code, 0) << single.err;
+  EXPECT_EQ(json_speedups(single.out), std::vector<double>{0.0})
+      << single.out;
+  const CliRun listed =
+      cli({"simulate", empty.path(), "--json", "--procs", "2,4"});
+  ASSERT_EQ(listed.code, 0) << listed.err;
+  EXPECT_EQ(json_speedups(listed.out), (std::vector<double>{0.0, 0.0}))
+      << listed.out;
+  const CliRun table = cli({"simulate", empty.path()});
+  ASSERT_EQ(table.code, 0) << table.err;
+  EXPECT_EQ(table.out.find("nan"), std::string::npos) << table.out;
 }
 
 TEST(Cli, SweepChecksInvariants) {

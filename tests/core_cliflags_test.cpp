@@ -207,6 +207,32 @@ TEST_F(CliFlags, OutOfRangeIntegerIsUsageError) {
   }
 }
 
+TEST_F(CliFlags, UnknownEnumValueIsUsageError) {
+  // No enum flag falls back to its default on an unknown value: each is
+  // a usage error (exit 2) naming the flag and the values it takes.
+  const struct {
+    std::vector<std::string> args;
+    const char* flag;
+  } cases[] = {
+      {{"run", *program_, "--strategy", "bogus"}, "--strategy"},
+      {{"run", *program_, "--match-threads", "2", "--match-assign", "bogus"},
+       "--match-assign"},
+      {{"simulate", *trace_, "--mapping", "bogus"}, "--mapping"},
+      {{"simulate", *trace_, "--termination", "bogus"}, "--termination"},
+      {{"simulate", *trace_, "--assign", "bogus"}, "--assign"},
+      {{"sweep", *trace_, "--assign", "bogus"}, "--assign"},
+      {{"sweep", *trace_, "--mapping", "bogus"}, "--mapping"},
+  };
+  for (const auto& c : cases) {
+    const CliRun r = cli(c.args);
+    EXPECT_EQ(r.code, 2) << c.args[0] << " " << c.flag << ": " << r.err;
+    EXPECT_NE(r.err.find(std::string("usage error: ") + c.flag),
+              std::string::npos)
+        << c.args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("is not one of"), std::string::npos) << r.err;
+  }
+}
+
 TEST_F(CliFlags, EveryDocumentedFlagAppearsInUsage) {
   const std::string usage = cli_usage();
   for (const CliCommand& cmd : cli_commands()) {

@@ -93,7 +93,16 @@ TEST(SweepRunner, OutcomesMatchSerialSimulate) {
 TEST(SweepRunner, BitIdenticalAcrossJobCounts) {
   const Trace rubik = trace::make_rubik_section(32, 3);
   const Trace weaver = trace::make_weaver_section(32, 3);
-  const auto scenarios = small_grid(rubik, weaver);
+  auto scenarios = small_grid(rubik, weaver);
+  // Half the grid again, measured against the other trace's baseline, so
+  // one call resolves each trace as its own and as another's baseline.
+  const auto grid = small_grid(rubik, weaver);
+  for (std::size_t i = 0; i < grid.size(); i += 2) {
+    SweepScenario scenario = grid[i];
+    scenario.label += "/vs-other";
+    scenario.baseline = scenario.trace == &rubik ? &weaver : &rubik;
+    scenarios.push_back(std::move(scenario));
+  }
 
   std::string serialized[3];
   std::string metrics_csv[3];
@@ -250,6 +259,27 @@ TEST(SweepRunner, ExplicitBaselineTraceSetsDenominator) {
   const auto outcomes = run_sweep({scenario}, 1);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].baseline, sim::baseline_time(rubik));
+}
+
+TEST(SweepRunner, BaselineFollowsATraceEditedBetweenRuns) {
+  // No baseline outlives its run call: a trace edited in place between
+  // two calls (same address, new content) gets its new baseline.
+  Trace t = trace::make_weaver_section(32, 3);
+  std::vector<SweepScenario> scenarios(1);
+  scenarios[0].label = "edited";
+  scenarios[0].trace = &t;
+  scenarios[0].config.match_processors = 2;
+  scenarios[0].assignment = sim::Assignment::round_robin(t.num_buckets, 2);
+  const SimTime before = run_sweep(scenarios, 1)[0].baseline;
+  EXPECT_EQ(before, sim::baseline_time(t));
+
+  const std::vector<trace::TraceCycle> cycles = t.cycles;
+  t.cycles.insert(t.cycles.end(), cycles.begin(), cycles.end());
+  const SweepOutcome after = run_sweep(scenarios, 2)[0];
+  EXPECT_EQ(after.baseline, sim::baseline_time(t));
+  EXPECT_NE(after.baseline, before);
+  EXPECT_DOUBLE_EQ(after.speedup,
+                   sim::speedup_ratio(after.baseline, after.result.makespan));
 }
 
 TEST(SweepRunner, ResolvesJobCount) {

@@ -370,53 +370,10 @@ TEST(Simulator, ForwardDeclaredParentRaisesDescriptiveError) {
   }
 }
 
-// The cached baseline must agree with the always-recompute form and
-// dedup structurally identical traces (including copies).
+// The deprecated forwarder must agree with the always-recompute form.
 TEST(Simulator, BaselineCacheMatchesBaselineTime) {
   const Trace t = chain_trace();
-  const Trace copy = t;
-  BaselineCache cache;
-  const std::size_t size_before = cache.size();
-  EXPECT_EQ(cache.baseline(t), baseline_time(t));
-  EXPECT_EQ(cache.baseline(copy), baseline_time(t));
-  EXPECT_EQ(cache.size(), size_before + 1);
-  const Trace other = trace::make_weaver_section(32, 3);
-  EXPECT_EQ(cache.baseline(other), baseline_time(other));
-  EXPECT_EQ(cache.size(), size_before + 2);
-}
-
-// Regression: a fingerprint collision must NOT hand one trace another
-// trace's baseline (that would silently corrupt every speedup computed
-// from the shared cache).  A constant fingerprint forces every lookup
-// into the same hash bucket; the structural verification has to keep the
-// colliding traces apart.
-TEST(Simulator, BaselineCacheSurvivesFingerprintCollisions) {
-  const Trace a = chain_trace();
-  const Trace b = trace::make_weaver_section(32, 3);
-  ASSERT_NE(baseline_time(a), baseline_time(b));
-
-  BaselineCache cache(
-      [](const trace::Trace&) -> std::uint64_t { return 42; });
-  EXPECT_EQ(cache.baseline(a), baseline_time(a));
-  // Same fingerprint, different structure: must simulate b, not reuse a.
-  EXPECT_EQ(cache.baseline(b), baseline_time(b));
-  EXPECT_EQ(cache.size(), 2u);
-  // Hits keep resolving to the right entry in either order.
-  EXPECT_EQ(cache.baseline(b), baseline_time(b));
-  EXPECT_EQ(cache.baseline(a), baseline_time(a));
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(Simulator, BaselineCacheFingerprintSeparatesContent) {
-  // The default fingerprint distinguishes traces that differ in a single
-  // field, but is stable across copies.
-  const Trace t = chain_trace();
-  const Trace copy = t;
-  EXPECT_EQ(BaselineCache::fingerprint(t), BaselineCache::fingerprint(copy));
-  Trace tweaked = t;
-  tweaked.cycles[0].activations[0].bucket ^= 1u;
-  EXPECT_NE(BaselineCache::fingerprint(t),
-            BaselineCache::fingerprint(tweaked));
+  EXPECT_EQ(BaselineCache::shared().baseline(t), baseline_time(t));
 }
 
 TEST(Simulator, SpeedupUsesSharedBaselineCache) {
