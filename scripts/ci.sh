@@ -86,49 +86,58 @@ if ./build/tools/mpps check --exhaustive --fault drain-fifo \
   exit 1
 fi
 
-echo "=== tier-1: simulator kernel throughput smoke (BENCH_simkernel.json) ==="
+# Every smoke artifact below lands in build/: the repo root holds the
+# tracked full-run BENCH_pmatch.json and BENCH_serve.json, which a smoke
+# run must not overwrite.
+echo "=== tier-1: simulator kernel throughput smoke (build/BENCH_simkernel.json) ==="
 # Smoke mode (tiny traces, 2 timed iterations) exists to catch bit-rot in
 # the bench harness and to keep a per-run perf artifact; the JSON it
 # writes is the run artifact (docs/SIMULATOR.md explains how to read it).
 # Absolute numbers from smoke mode are noise — run the bench without
 # --smoke for comparable measurements.
-./build/bench/simkernel_throughput --smoke -o BENCH_simkernel.json
-test -s BENCH_simkernel.json
+./build/bench/simkernel_throughput --smoke -o build/BENCH_simkernel.json
+test -s build/BENCH_simkernel.json
 
-echo "=== tier-1: topology speedup smoke (BENCH_topology.json) ==="
+echo "=== tier-1: topology speedup smoke (build/BENCH_topology.json) ==="
 # The speedup grid per interconnection topology (flat wire / mesh /
 # torus / fat-tree); smoke mode trims the processor grid but runs every
 # topology, so routing + contention + auto-geometry stay exercised on
 # every build (docs/SIMULATOR.md, "Network models").
-./build/bench/topology_speedup --smoke -o BENCH_topology.json
-test -s BENCH_topology.json
+./build/bench/topology_speedup --smoke -o build/BENCH_topology.json
+test -s build/BENCH_topology.json
 
-echo "=== tier-1: parallel match throughput smoke (BENCH_pmatch.json) ==="
+echo "=== tier-1: parallel match throughput smoke (build/BENCH_pmatch.json) ==="
 # Measured (wall-clock) counterpart of the simulated curves above; the
 # JSON records hardware_concurrency — on a 1-CPU runner the speedup
 # columns honestly stay <= 1 (docs/PARALLEL_MATCH.md).
-./build/bench/pmatch_throughput --smoke -o BENCH_pmatch.json
-test -s BENCH_pmatch.json
+./build/bench/pmatch_throughput --smoke -o build/BENCH_pmatch.json
+test -s build/BENCH_pmatch.json
 
-echo "=== tier-1: profiler smoke report (PROFILE_pmatch.json) ==="
-# The wall-clock phase-attribution report on the fanout workload as a
-# per-run artifact next to the bench JSONs (docs/OBSERVABILITY.md); the
-# acceptance bound itself (>= 95% attributed) is asserted by
-# tests/pmatch_profile_test.cpp, this smoke just keeps the end-to-end
-# `run --profile --json` path exercised and archived.
+echo "=== tier-1: profiler smoke reports (build/PROFILE_pmatch*.json) ==="
+# The wall-clock phase-attribution report as a per-run artifact next to
+# the bench JSONs (docs/OBSERVABILITY.md); the acceptance bound itself
+# (>= 95% attributed) is asserted by tests/pmatch_profile_test.cpp, these
+# smokes keep the end-to-end `run --profile --json` path exercised and
+# archived: fanout on two worker threads, batched, and chain at one
+# thread, where the calling thread runs the worker's steps.
 ./build/tools/mpps run examples/programs/bench_fanout.ops \
   --match-threads 2 --match-batch 16 --profile --json --quiet \
-  > PROFILE_pmatch.json
-test -s PROFILE_pmatch.json
-grep -q '"min_attributed_pct"' PROFILE_pmatch.json
+  > build/PROFILE_pmatch.json
+./build/tools/mpps run examples/programs/bench_chain.ops \
+  --match-threads 1 --profile --json --quiet \
+  > build/PROFILE_pmatch_1thread.json
+for report in build/PROFILE_pmatch.json build/PROFILE_pmatch_1thread.json; do
+  test -s "$report"
+  grep -q '"min_attributed_pct"' "$report"
+done
 
-echo "=== tier-1: serve latency smoke (BENCH_serve.json) ==="
+echo "=== tier-1: serve latency smoke (build/BENCH_serve.json) ==="
 # Multi-tenant serving engine latency/fusion grid (docs/SERVING.md);
 # smoke mode trims the per-session transaction count but still runs the
 # full sessions x threads grid, so admission batching, phase fusion and
 # cross-session isolation counters stay exercised on every build.
-./build/bench/serve_latency --smoke -o BENCH_serve.json
-test -s BENCH_serve.json
+./build/bench/serve_latency --smoke -o build/BENCH_serve.json
+test -s build/BENCH_serve.json
 
 echo "=== tier-1: serve soak (bounded RSS, ~30s) ==="
 # Closed-loop soak through the real CLI: 8 concurrent sessions replaying
@@ -139,9 +148,9 @@ echo "=== tier-1: serve soak (bounded RSS, ~30s) ==="
 # bounded, so memory must be flat.
 ./build/tools/mpps serve examples/programs/bench_fanout.ops \
   --sessions 8 --seconds 30 --wm-window 8 --match-threads 2 \
-  --rss-ceiling-mb 512 --json > SOAK_serve.json
-test -s SOAK_serve.json
-grep -q '"cross_session_deltas": 0' SOAK_serve.json
+  --rss-ceiling-mb 512 --json > build/SOAK_serve.json
+test -s build/SOAK_serve.json
+grep -q '"cross_session_deltas": 0' build/SOAK_serve.json
 
 echo "=== tier-1: attribution percentage + latency percentile gate ==="
 # Every *_pct field any artifact emits must sit in [0, 100], every
@@ -149,8 +158,9 @@ echo "=== tier-1: attribution percentage + latency percentile gate ==="
 # triple must be finite, non-negative and monotone; the >100%
 # conflict_update_pct regression (wrong denominator) is exactly what this
 # catches (scripts/check_pct.py).
-python3 scripts/check_pct.py BENCH_pmatch.json PROFILE_pmatch.json \
-  BENCH_topology.json BENCH_serve.json SOAK_serve.json
+python3 scripts/check_pct.py build/BENCH_pmatch.json \
+  build/PROFILE_pmatch.json build/PROFILE_pmatch_1thread.json \
+  build/BENCH_topology.json build/BENCH_serve.json build/SOAK_serve.json
 
 if [ "$FAST" -eq 1 ]; then
   echo "=== tier-1 passed (sanitizer + coverage passes skipped via --fast) ==="

@@ -8,9 +8,11 @@
 // accounting it keeps is the prerequisite for online bucket rebalancing.
 //
 // Design constraints (the PR 1 zero-cost pattern, docs/OBSERVABILITY.md):
-//   * Lanes are thread-local append-only buffers.  Each worker thread owns
-//     one `ProfLane` and appends spans with `steady_clock` stamps; no
-//     locks, no allocation beyond vector growth, no cross-thread writes.
+//   * Lanes are single-writer append-only buffers.  Each worker owns one
+//     `ProfLane`, written only by the thread running that worker's steps
+//     (its own thread, or the calling thread of a 1-thread engine), with
+//     `steady_clock` stamps; no locks, no allocation beyond vector growth,
+//     no cross-thread writes.
 //   * Null-sink guard.  Instrumented code holds a `ProfLane*` that is
 //     nullptr when profiling is off; every recording site is one pointer
 //     test and the disabled path takes no clock readings at all (asserted

@@ -157,7 +157,7 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
                                          {{"worker", std::to_string(i)}}));
     }
   }
-  if (options_.schedule == nullptr) {
+  if (threaded()) {
     for (auto& worker : workers_) {
       Worker* w = worker.get();
       w->thread = std::thread([this, w] { worker_main(*w); });
@@ -195,91 +195,132 @@ void ParallelEngine::worker_main(Worker& w) {
 }
 
 void ParallelEngine::run_worker_phase(Worker& w) {
-  using Clock = std::chrono::steady_clock;
-  obs::ProfLane* const lane = w.lane;
+  // Every clock reading ends one segment and starts the next, so the
+  // profiler's category spans tile the phase wall (the unattributed
+  // remainder is only loop glue).  Without a profiler the loop still
+  // takes four readings per round: busy/idle need them.
   const auto phase_start = Clock::now();
   std::uint64_t idle_ns = 0;
-  begin_worker_phase(w);
-  try {
-    scan_roots(w);
-  } catch (...) {
-    w.error = std::current_exception();
-    w.current.clear();
-  }
-  // When profiling, every clock reading both ends one span and starts the
-  // next so the category spans tile the phase wall (the unattributed
-  // remainder is only loop glue).  When not profiling this loop takes
-  // exactly the same four clock readings per round it always has.
+  const auto wait = [&](auto& barrier, Clock::time_point wait_start) {
+    barrier.arrive_and_wait();
+    const auto end = Clock::now();
+    idle_ns += ns_between(wait_start, end);
+    if (w.lane != nullptr) {
+      w.lane->span(obs::ProfCategory::BarrierWait, w.round,
+                   w.lane->stamp(wait_start), w.lane->stamp(end));
+    }
+    return end;
+  };
   auto seg_start = phase_start;
-  auto phase_end = phase_start;
   while (true) {
-    w.emit_seq = 0;
-    w.prof_enqueue_ns = 0;
-    if (w.error == nullptr) {
-      try {
-        for (const WorkItem& item : w.current) process_item(w, item);
-      } catch (...) {
-        w.error = std::current_exception();
-      }
-    }
-    auto wait_start = Clock::now();
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::Match, w.round, lane->stamp(seg_start),
-                 lane->stamp(wait_start), w.prof_enqueue_ns);
-    }
-    round_barrier_.arrive_and_wait();
-    auto barrier_end = Clock::now();
-    idle_ns += ns_between(wait_start, barrier_end);
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::BarrierWait, w.round,
-                 lane->stamp(wait_start), lane->stamp(barrier_end));
-    }
+    seg_start = wait(round_barrier_, match_step(w, seg_start));
+    seg_start = exchange_step(w, seg_start);
+    pending_total_.fetch_add(w.next.size(), std::memory_order_relaxed);
+    seg_start = wait(exchange_barrier_, seg_start);
+    if (phase_done_) break;
+    std::swap(w.current, w.next);
+    ++w.round;
+  }
+  end_worker_phase(w, phase_start, seg_start, idle_ns);
+}
 
-    recycle_items(w, w.next);
-    const std::size_t drained = w.mailbox.drain_into(w.next);
-    w.drain_depths.push_back(drained);
-    auto drain_end = barrier_end;
-    if (lane != nullptr) {
-      drain_end = Clock::now();
-      lane->span(obs::ProfCategory::MailboxDequeue, w.round,
-                 lane->stamp(barrier_end), lane->stamp(drain_end), drained);
+void ParallelEngine::run_cooperative_phase() {
+  // Within a round the workers touch disjoint per-bucket state, so running
+  // their steps one after another is one execution the threads could have
+  // produced; the orderings that can change a result are the exchange
+  // step's, which a controller picks when one is attached.  A worker is
+  // busy during its own steps and idle during the others'.
+  const auto phase_start = Clock::now();
+  std::vector<std::uint64_t> busy(threads_, 0);
+  auto t = phase_start;
+  const auto step_all = [&](auto step) {
+    for (auto& wp : workers_) {
+      const auto end = (this->*step)(*wp, t);
+      busy[wp->index] += ns_between(t, end);
+      t = end;
     }
-    for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
-    w.self_next.clear();
+  };
+  while (true) {
+    step_all(&ParallelEngine::match_step);
+    ++rounds_executed_;
+    step_all(&ParallelEngine::exchange_step);
+    std::size_t pending = 0;
+    for (const auto& wp : workers_) pending += wp->next.size();
+    if (pending == 0) break;
+    for (auto& wp : workers_) {
+      std::swap(wp->current, wp->next);
+      ++wp->round;
+    }
+  }
+  const std::uint64_t wall = ns_between(phase_start, t);
+  for (auto& wp : workers_) {
+    end_worker_phase(*wp, phase_start, t, wall - busy[wp->index]);
+  }
+}
+
+ParallelEngine::Clock::time_point ParallelEngine::match_step(
+    Worker& w, Clock::time_point start) {
+  w.emit_seq = 0;
+  w.prof_enqueue_ns = 0;
+  if (w.error == nullptr) {
+    try {
+      for (const WorkItem& item : w.current) process_item(w, item);
+    } catch (...) {
+      w.error = std::current_exception();
+    }
+  }
+  const auto end = Clock::now();
+  if (w.lane != nullptr) {
+    w.lane->span(obs::ProfCategory::Match, w.round, w.lane->stamp(start),
+                 w.lane->stamp(end), w.prof_enqueue_ns);
+  }
+  return end;
+}
+
+ParallelEngine::Clock::time_point ParallelEngine::exchange_step(
+    Worker& w, Clock::time_point start) {
+  ScheduleControl* const sched = options_.schedule;
+  recycle_items(w, w.next);
+  std::size_t drained = 0;
+  if (sched == nullptr) {
+    drained = w.mailbox.drain_into(w.next);
+  } else {
+    std::vector<std::uint32_t> slot_order;  // the mailbox validates it
+    sched->drain_order(w.index, w.round, threads_, slot_order);
+    drained = w.mailbox.drain_into(w.next, slot_order);
+  }
+  w.drain_depths.push_back(drained);
+  auto drain_end = start;
+  if (w.lane != nullptr) {
+    drain_end = Clock::now();
+    w.lane->span(obs::ProfCategory::MailboxDequeue, w.round,
+                 w.lane->stamp(start), w.lane->stamp(drain_end), drained);
+  }
+  for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
+  w.self_next.clear();
+  if (sched == nullptr) {
     std::sort(w.next.begin(), w.next.end(),
               [](const WorkItem& a, const WorkItem& b) {
                 return a.sender != b.sender ? a.sender < b.sender
                                             : a.seq < b.seq;
               });
-    pending_total_.fetch_add(w.next.size(), std::memory_order_relaxed);
-
-    wait_start = Clock::now();
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::RoundMerge, w.round,
-                 lane->stamp(drain_end), lane->stamp(wait_start),
-                 w.next.size());
+  } else if (!w.next.empty()) {
+    std::vector<ScheduledOp> ops;
+    ops.reserve(w.next.size());
+    for (const WorkItem& it : w.next) {
+      ops.push_back(ScheduledOp{it.sender, it.seq, it.bucket, item_hash(it)});
     }
-    exchange_barrier_.arrive_and_wait();
-    barrier_end = Clock::now();
-    idle_ns += ns_between(wait_start, barrier_end);
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::BarrierWait, w.round,
-                 lane->stamp(wait_start), lane->stamp(barrier_end));
-    }
-    if (phase_done_) {
-      phase_end = barrier_end;
-      break;
-    }
-    std::swap(w.current, w.next);
-    ++w.round;
-    seg_start = barrier_end;
+    std::vector<std::uint32_t> order;
+    sched->order_round(w.index, w.round + 1, ops, order);
+    require_permutation(order, w.next.size(), "order_round");
+    reorder_by(w.next, order);
   }
-  const std::uint64_t phase_ns = ns_between(phase_start, phase_end);
-  w.wstats.idle_ns += idle_ns;
-  w.wstats.busy_ns += phase_ns > idle_ns ? phase_ns - idle_ns : 0;
-  if (lane != nullptr) {
-    lane->phase_span(lane->stamp(phase_start), lane->stamp(phase_end));
+  const auto end = Clock::now();
+  if (w.lane != nullptr) {
+    w.lane->span(obs::ProfCategory::RoundMerge, w.round,
+                 w.lane->stamp(drain_end), w.lane->stamp(end), w.next.size());
   }
+  return end;
 }
 
 void ParallelEngine::on_exchange() noexcept {
@@ -309,62 +350,6 @@ std::uint64_t ParallelEngine::delta_identity_hash(const ConflictDelta& d) {
   return fnv_mix(delta_dependence_hash(d), static_cast<std::uint64_t>(d.tag));
 }
 
-void ParallelEngine::run_controlled_phase() {
-  // The cooperative mirror of worker_main/run_worker_phase: one loop
-  // iteration per BSP round, every worker stepped in index order.  Within
-  // a round the workers only touch disjoint per-bucket state (that is the
-  // engine's whole ownership story), so stepping them sequentially in any
-  // fixed order is equivalent to the threaded execution — the orderings
-  // that can matter are exactly the ones delegated to the controller:
-  // mailbox slot drains and the incoming item order, which replaces the
-  // free-running path's (sender, seq) sort.
-  ScheduleControl& sched = *options_.schedule;
-  for (auto& wp : workers_) {
-    begin_worker_phase(*wp);
-    scan_roots(*wp);  // round 0 = constant-test scan in change order: the
-                      // real machine has no scheduler freedom here
-  }
-  std::vector<std::uint32_t> slot_order;
-  std::vector<std::uint32_t> order;
-  std::vector<ScheduledOp> ops;
-  while (true) {
-    for (auto& wp : workers_) {
-      Worker& w = *wp;
-      w.emit_seq = 0;
-      for (const WorkItem& item : w.current) process_item(w, item);
-    }
-    ++rounds_executed_;
-    std::size_t pending = 0;
-    for (auto& wp : workers_) {
-      Worker& w = *wp;
-      recycle_items(w, w.next);
-      sched.drain_order(w.index, w.round, threads_, slot_order);
-      require_permutation(slot_order, threads_, "drain_order");
-      const std::size_t drained = w.mailbox.drain_into(w.next, slot_order);
-      w.drain_depths.push_back(drained);
-      for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
-      w.self_next.clear();
-      if (!w.next.empty()) {
-        ops.clear();
-        ops.reserve(w.next.size());
-        for (const WorkItem& it : w.next) {
-          ops.push_back(ScheduledOp{it.sender, it.seq, it.bucket,
-                                    item_hash(it)});
-        }
-        sched.order_round(w.index, w.round + 1, ops, order);
-        require_permutation(order, w.next.size(), "order_round");
-        reorder_by(w.next, order);
-      }
-      pending += w.next.size();
-    }
-    if (pending == 0) break;
-    for (auto& wp : workers_) {
-      std::swap(wp->current, wp->next);
-      ++wp->round;
-    }
-  }
-}
-
 void ParallelEngine::begin_worker_phase(Worker& w) {
   w.records.clear();
   w.deltas.clear();
@@ -376,6 +361,17 @@ void ParallelEngine::begin_worker_phase(Worker& w) {
   w.taken = 0;
   w.provisional_counter = 0;
   w.round = 0;
+}
+
+void ParallelEngine::end_worker_phase(Worker& w, Clock::time_point start,
+                                      Clock::time_point end,
+                                      std::uint64_t idle_ns) {
+  const std::uint64_t phase_ns = ns_between(start, end);
+  w.wstats.idle_ns += idle_ns;
+  w.wstats.busy_ns += phase_ns > idle_ns ? phase_ns - idle_ns : 0;
+  if (w.lane != nullptr) {
+    w.lane->phase_span(w.lane->stamp(start), w.lane->stamp(end));
+  }
 }
 
 ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
@@ -404,40 +400,30 @@ void ParallelEngine::recycle_items(Worker& w, std::vector<WorkItem>& items) {
   items.clear();
 }
 
-void ParallelEngine::scan_roots(Worker& w) {
-  // Round 0 of a fused phase holds the roots of EVERY change in the
-  // batch, in change order — the same order the serial engine would have
-  // seeded them across its per-change drains.
-  for (std::size_t c = 0; c < phase_change_count_; ++c) {
-    const ops5::WmeChange& change = phase_changes_[c];
-    const Tag tag =
-        change.kind == ops5::WmeChange::Kind::Add ? Tag::Plus : Tag::Minus;
-    const WmeId id = change.wme.id();
-    for (const AlphaNode& alpha : net_.alphas()) {
-      if (!alpha.matches(change.wme)) continue;
-      for (const AlphaSuccessor& succ : alpha.successors) {
-        const BetaNode& dest = net_.beta(succ.beta);
-        WorkItem item = take_item(w);
-        item.sender = w.index;
-        item.node = succ.beta;
-        item.side = succ.side;
-        item.tag = tag;
-        if (succ.side == Side::Left) {
-          item.token.wmes.push_back(id);
-          w.join.left_key(dest, item.token, item.key);
-        } else {
-          item.wme = id;
-          rete::JoinKernel::right_key(dest, change.wme, item.key);
-        }
-        item.bucket = rete::bucket_index(succ.beta, item.key, num_buckets_);
-        if (owner_map_[item.bucket] != w.index) {
-          w.pool.push_back(std::move(item));
-          continue;
-        }
-        w.current.push_back(std::move(item));
-      }
-    }
+void ParallelEngine::seed_root(const ops5::Wme& wme, const Token& root,
+                               const AlphaSuccessor& succ, Tag tag,
+                               std::vector<rete::Value>& key) {
+  const BetaNode& dest = net_.beta(succ.beta);
+  if (succ.side == Side::Left) {
+    workers_.front()->join.left_key(dest, root, key);
+  } else {
+    rete::JoinKernel::right_key(dest, wme, key);
   }
+  const std::uint32_t bucket = rete::bucket_index(succ.beta, key, num_buckets_);
+  Worker& owner = *workers_[owner_map_[bucket]];
+  WorkItem item = take_item(owner);
+  item.sender = owner.index;
+  item.node = succ.beta;
+  item.side = succ.side;
+  item.tag = tag;
+  if (succ.side == Side::Left) {
+    item.token = root;
+  } else {
+    item.wme = root.wmes.front();
+  }
+  std::swap(item.key, key);
+  item.bucket = bucket;
+  owner.current.push_back(std::move(item));
 }
 
 struct ParallelEngine::WorkerSink {
@@ -511,7 +497,15 @@ void ParallelEngine::route(Worker& w, WorkItem item) {
   }
 }
 
+void ParallelEngine::require_usable() const {
+  if (failure_.has_value()) {
+    throw RuntimeError("ParallelEngine: poisoned by a failed phase: " +
+                       *failure_);
+  }
+}
+
 void ParallelEngine::process_change(const ops5::WmeChange& change) {
+  require_usable();
   if (batching_) {
     pending_batch_.push_back(change);
     return;
@@ -520,6 +514,7 @@ void ParallelEngine::process_change(const ops5::WmeChange& change) {
 }
 
 void ParallelEngine::process_changes(std::span<const ops5::WmeChange> changes) {
+  require_usable();
   if (batching_) {
     pending_batch_.insert(pending_batch_.end(), changes.begin(),
                           changes.end());
@@ -541,6 +536,7 @@ void ParallelEngine::process_changes(std::span<const ops5::WmeChange> changes) {
 }
 
 void ParallelEngine::begin_batch() {
+  require_usable();
   if (batching_) {
     throw RuntimeError("ParallelEngine: a batch is already open");
   }
@@ -548,6 +544,7 @@ void ParallelEngine::begin_batch() {
 }
 
 void ParallelEngine::flush() {
+  require_usable();
   if (!batching_) {
     throw RuntimeError("ParallelEngine: no open batch to flush");
   }
@@ -558,64 +555,47 @@ void ParallelEngine::flush() {
 }
 
 void ParallelEngine::run_phase(const ops5::WmeChange* changes,
-                               std::size_t count) {
+                               std::size_t count) try {
+  for (auto& w : workers_) begin_worker_phase(*w);
   // Per-change pre-work, in change order: the listener sees every change
   // before any of the batch's activations; adds enter the wme table so
-  // worker-side key building can resolve them; and single-positive-CE
-  // productions update the conflict set directly (same scan order as the
-  // serial engine).  Everything else is seeded by the workers' own alpha
-  // scans over the whole batch.
+  // keys can resolve them; single-positive-CE productions update the
+  // conflict set directly (same scan order as the serial engine); and
+  // each alpha successor's root is keyed once and handed to its bucket's
+  // owner, so every owner's round 0 lists its roots in change order.
+  std::vector<rete::Value> key;  // reused by every root
   for (std::size_t c = 0; c < count; ++c) {
     const ops5::WmeChange& change = changes[c];
     if (listener_ != nullptr) listener_->on_wme_change(change);
     const Tag tag =
         change.kind == ops5::WmeChange::Kind::Add ? Tag::Plus : Tag::Minus;
-    const WmeId id = change.wme.id();
-    if (tag == Tag::Plus) {
-      wmes_.emplace(id, change.wme);
-    }
+    const Token root{{change.wme.id()}};
+    if (tag == Tag::Plus) wmes_.emplace(change.wme.id(), change.wme);
     for (const AlphaNode& alpha : net_.alphas()) {
       if (!alpha.matches(change.wme)) continue;
       for (ProductionId pid : alpha.direct_productions) {
-        rete::update_conflict_set(conflict_, pid, Token{{id}}, tag);
+        rete::update_conflict_set(conflict_, pid, root, tag);
+      }
+      for (const AlphaSuccessor& succ : alpha.successors) {
+        seed_root(change.wme, root, succ, tag, key);
       }
     }
   }
   const std::uint64_t rounds_before = rounds_executed_;
-  const auto phase_wall_start = control_lane_ == nullptr
-                                    ? obs::ProfLane::Clock::time_point{}
-                                    : obs::ProfLane::now();
-  if (options_.schedule != nullptr) {
-    phase_changes_ = changes;
-    phase_change_count_ = count;
-    options_.schedule->begin_phase(phases_);
-    try {
-      run_controlled_phase();
-    } catch (...) {
-      phase_changes_ = nullptr;
-      phase_change_count_ = 0;
-      throw;
-    }
-    phase_changes_ = nullptr;
-    phase_change_count_ = 0;
+  const auto phase_wall_start =
+      control_lane_ == nullptr ? Clock::time_point{} : Clock::now();
+  if (threaded()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++phase_gen_;
+    start_cv_.notify_all();
+    done_cv_.wait(lock, [&] { return workers_done_ == threads_; });
+    workers_done_ = 0;
   } else {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      phase_changes_ = changes;
-      phase_change_count_ = count;
-      ++phase_gen_;
-      start_cv_.notify_all();
-      done_cv_.wait(lock, [&] { return workers_done_ == threads_; });
-      workers_done_ = 0;
-      phase_changes_ = nullptr;
-      phase_change_count_ = 0;
-    }
-    std::exception_ptr error;
-    for (auto& w : workers_) {
-      if (w->error != nullptr && error == nullptr) error = w->error;
-      w->error = nullptr;
-    }
-    if (error != nullptr) std::rethrow_exception(error);
+    if (options_.schedule != nullptr) options_.schedule->begin_phase(phases_);
+    run_cooperative_phase();
+  }
+  for (const auto& w : workers_) {
+    if (w->error != nullptr) std::rethrow_exception(w->error);
   }
   if (control_lane_ == nullptr) {
     merge_phase();
@@ -650,16 +630,31 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
   changes_ += count;
   collect_stats();
   flush_metrics();
+} catch (const std::exception& e) {
+  failure_ = e.what();
+  pending_batch_.clear();
+  throw;
+} catch (...) {
+  failure_ = "unknown exception";
+  pending_batch_.clear();
+  throw;
 }
 
 void ParallelEngine::merge_phase() {
   // Deterministic causal merge: round-major, worker-minor, per-worker
   // emission order.  Rounds are BFS levels, so a parent's record is always
   // assigned its final id before any of its children are remapped; at one
-  // thread this order IS the serial engine's FIFO order.
+  // thread this order IS the serial engine's FIFO order.  A controller
+  // may permute the order of one round's conflict deltas (worker-minor is
+  // just one admissible linearization); records keep theirs, because
+  // parents must be remapped before their children.
+  ScheduleControl* const sched = options_.schedule;
   remap_.clear();
   std::vector<std::size_t> rec_cursor(threads_, 0);
   std::vector<std::size_t> delta_cursor(threads_, 0);
+  std::vector<const ConflictDelta*> group;
+  std::vector<ScheduledOp> ops;
+  std::vector<std::uint32_t> order;
   auto all_merged = [&] {
     for (std::uint32_t i = 0; i < threads_; ++i) {
       if (rec_cursor[i] < workers_[i]->records.size()) return false;
@@ -682,45 +677,29 @@ void ParallelEngine::merge_phase() {
         if (listener_ != nullptr) listener_->on_activation(rec);
       }
     }
-    if (options_.schedule == nullptr) {
-      for (std::uint32_t i = 0; i < threads_; ++i) {
-        auto& deltas = workers_[i]->deltas;
-        while (delta_cursor[i] < deltas.size() &&
-               deltas[delta_cursor[i]].round == round) {
-          ConflictDelta& d = deltas[delta_cursor[i]++];
-          rete::update_conflict_set(conflict_, d.pid, d.token, d.tag);
-        }
-      }
-    } else {
-      // Controlled mode: the controller picks the application order of
-      // this round's deltas (the free path's worker-minor order is just
-      // one admissible linearization).  Records above stay round-major /
-      // worker-minor in both modes — parents must be remapped before
-      // their children regardless of schedule.
-      std::vector<const ConflictDelta*> group;
-      std::vector<ScheduledOp> ops;
-      for (std::uint32_t i = 0; i < threads_; ++i) {
-        auto& deltas = workers_[i]->deltas;
-        std::uint64_t seq = 0;
-        while (delta_cursor[i] < deltas.size() &&
-               deltas[delta_cursor[i]].round == round) {
-          const ConflictDelta& d = deltas[delta_cursor[i]++];
+    group.clear();
+    ops.clear();
+    for (std::uint32_t i = 0; i < threads_; ++i) {
+      const auto& deltas = workers_[i]->deltas;
+      for (std::uint64_t seq = 0; delta_cursor[i] < deltas.size() &&
+                                  deltas[delta_cursor[i]].round == round;
+           ++seq) {
+        const ConflictDelta& d = deltas[delta_cursor[i]++];
+        group.push_back(&d);
+        if (sched != nullptr) {
           ops.push_back(ScheduledOp{
-              i, seq++,
-              static_cast<std::uint32_t>(delta_dependence_hash(d)),
+              i, seq, static_cast<std::uint32_t>(delta_dependence_hash(d)),
               delta_identity_hash(d)});
-          group.push_back(&d);
         }
       }
-      if (!group.empty()) {
-        std::vector<std::uint32_t> order;
-        options_.schedule->order_merge(round, ops, order);
-        require_permutation(order, group.size(), "order_merge");
-        for (std::uint32_t idx : order) {
-          rete::update_conflict_set(conflict_, group[idx]->pid,
-                                    group[idx]->token, group[idx]->tag);
-        }
-      }
+    }
+    if (sched != nullptr && !group.empty()) {
+      sched->order_merge(round, ops, order);
+      require_permutation(order, group.size(), "order_merge");
+      reorder_by(group, order);
+    }
+    for (const ConflictDelta* d : group) {
+      rete::update_conflict_set(conflict_, d->pid, d->token, d->tag);
     }
   }
 }

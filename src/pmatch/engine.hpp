@@ -1,24 +1,29 @@
 // The parallel match engine: the paper's architecture executed for real on
-// shared-memory threads instead of simulated from a trace.  N worker
-// threads act as match processors; the bucket space of the global hashed
-// token memories is partitioned across them with the same
-// `sim::Assignment` policies the simulator maps with; and token
-// activations travel between workers through bounded MPSC mailboxes (the
-// "messages").  A cycle barrier at conflict-set assembly hands the merged
-// conflict set back to the Interpreter's match-resolve-act loop.
+// shared-memory threads instead of simulated from a trace.  N workers act
+// as match processors; the bucket space of the global hashed token
+// memories is partitioned across them with the same `sim::Assignment`
+// policies the simulator maps with; and token activations travel between
+// workers through bounded MPSC mailboxes (the "messages").  A cycle
+// barrier at conflict-set assembly hands the merged conflict set back to
+// the Interpreter's match-resolve-act loop.
 //
 // Execution model (docs/PARALLEL_MATCH.md has the full walkthrough):
-// WM changes run as bulk-synchronous phases.  Workers process activation
-// rounds — round 0 holds the constant-test roots, round r+1 holds the
-// tokens round r generated — with a barrier between rounds at which
-// mailboxes are drained and the next round is sorted by
-// (sender, sequence).  Because an activation touches exactly one
-// left/right bucket pair and each pair has one owner, per-bucket state
-// never needs a lock; because rounds are merged in deterministic order,
-// the conflict set, trace records and activation ids are reproducible for
-// a fixed thread count — and at 1 thread with max_batch == 1 (the
-// default) they are byte-identical to the serial `rete::Engine` (asserted
-// in tests/pmatch_determinism_test.cpp).
+// WM changes run as bulk-synchronous phases.  The control thread alpha-
+// scans each change once, keys and buckets every constant-test root, and
+// hands it to its bucket's owner as round 0.  Each round is then one
+// match step per worker (process the round's items: store, join, route
+// the children) and one exchange step per worker (drain the mailbox,
+// append the local children, order the next round by (sender, sequence)
+// or by the schedule controller).  With `threads > 1` and no controller,
+// worker threads run the steps between two barriers; otherwise the
+// calling thread runs every worker's steps in index order, and no thread
+// is spawned.  Because an activation touches exactly one left/right
+// bucket pair and each pair has one owner, per-bucket state never needs a
+// lock; because rounds are merged in deterministic order, the conflict
+// set, trace records and activation ids are reproducible for a fixed
+// thread count — and at 1 thread with max_batch == 1 (the default) they
+// are byte-identical to the serial `rete::Engine` (asserted in
+// tests/pmatch_determinism_test.cpp).
 //
 // Batching (the paper's multiple-modify effect, §4): with
 // `ParallelOptions::max_batch > 1`, `process_changes` runs up to
@@ -30,10 +35,15 @@
 // share a bucket, so the +/- deltas of any one instantiation come from
 // one worker in emission order and the round-major merge preserves it) —
 // asserted against the serial oracle in tests/pmatch_batch_test.cpp.
+//
+// A phase that throws poisons the engine: it keeps the first error, drops
+// the batch, and every later process_change / process_changes /
+// begin_batch / flush throws mpps::RuntimeError naming that error.
 #pragma once
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -41,6 +51,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -63,7 +74,9 @@
 namespace mpps::pmatch {
 
 struct ParallelOptions {
-  /// Worker threads = match processors.  0 ⇒ 1.
+  /// Workers = match processors.  0 ⇒ 1.  Above 1 (and without
+  /// `schedule`) each worker runs on its own thread; at 1 the calling
+  /// thread runs the worker, so the engine spawns no thread.
   std::uint32_t threads = 2;
   /// Buckets per memory side; 0 ⇒ inherit rete::EngineOptions::num_buckets
   /// through `parallel_engine_factory` (256 when constructed directly).
@@ -103,13 +116,12 @@ struct ParallelOptions {
   /// identical either way).
   obs::Profiler* profiler = nullptr;
   /// Optional schedule controller (not owned; must outlive the engine).
-  /// Non-null switches the engine into schedule-controlled mode: no worker
-  /// threads are spawned, no barriers are taken, and the control thread
-  /// runs every worker's rounds cooperatively, asking the controller for
-  /// each admissible ordering decision (src/pmatch/schedule.hpp).  This is
-  /// the seam the `src/mc` model checker drives.  Controlled mode is for
-  /// exploring orderings, not for measurement: busy/idle worker stats stay
-  /// zero, and combining it with `profiler` throws at construction.
+  /// Non-null makes the calling thread run every worker's steps, as at
+  /// one thread, whatever `threads` is, and the exchange step asks the
+  /// controller for each admissible ordering decision instead of sorting
+  /// (src/pmatch/schedule.hpp).  This is the seam the `src/mc` model
+  /// checker drives.  Controlled mode is for exploring orderings, not for
+  /// measurement: combining it with `profiler` throws at construction.
   ScheduleControl* schedule = nullptr;
 };
 
@@ -118,7 +130,7 @@ struct ParallelOptions {
 /// deterministic for a fixed thread count.
 struct WorkerStats {
   std::uint64_t busy_ns = 0;
-  std::uint64_t idle_ns = 0;            // time parked at round barriers
+  std::uint64_t idle_ns = 0;            // time waiting on other workers
   std::uint64_t activations = 0;        // items this worker processed
   std::uint64_t messages_sent = 0;      // children routed to other workers
   std::uint64_t local_deliveries = 0;   // children kept on this worker
@@ -129,7 +141,8 @@ struct WorkerStats {
 
 class ParallelEngine final : public rete::MatchEngine {
  public:
-  /// The network must outlive the engine.  Spawns the worker threads.
+  /// The network must outlive the engine.  Spawns the worker threads when
+  /// `threads > 1` and no `schedule` is set.
   explicit ParallelEngine(const rete::Network& net,
                           ParallelOptions options = {});
   ~ParallelEngine() override;
@@ -161,7 +174,8 @@ class ParallelEngine final : public rete::MatchEngine {
   /// The conflict set, `wme()` and stats are stale while a batch is open.
   /// Misuse is loud: `begin_batch()` with a batch already open and
   /// `flush()` without one both throw mpps::RuntimeError, and the engine
-  /// stays fully usable after the throw.
+  /// stays fully usable after the throw.  A phase that fails poisons the
+  /// engine instead (see the header comment).
   void begin_batch();
   void flush();
   [[nodiscard]] bool batching() const { return batching_; }
@@ -229,8 +243,8 @@ class ParallelEngine final : public rete::MatchEngine {
     std::uint32_t index = 0;
     rete::JoinKernel join;  // this worker's buckets and their counters
     Mailbox<WorkItem> mailbox;
-    // Per-phase state, touched only by the owning thread during a phase
-    // and by the control thread between phases.
+    // Per-phase state, touched only by the thread running the worker's
+    // steps during a phase and by the control thread between phases.
     std::vector<WorkItem> current;
     std::vector<WorkItem> next;
     std::vector<WorkItem> self_next;  // children staying on this worker
@@ -247,8 +261,8 @@ class ParallelEngine final : public rete::MatchEngine {
     WorkerStats wstats;  // cumulative across phases
     obs::ProfLane* lane = nullptr;    // null ⇒ profiling off
     std::uint64_t prof_enqueue_ns = 0;  // per-round mailbox-push time
-    std::exception_ptr error;
-    std::thread thread;
+    std::exception_ptr error;  // first match-step failure this phase
+    std::thread thread;        // only with worker threads
 
     Worker(std::uint32_t idx, const rete::WmeTable& wmes,
            std::uint32_t num_buckets, std::size_t mailbox_capacity,
@@ -280,20 +294,44 @@ class ParallelEngine final : public rete::MatchEngine {
     std::vector<obs::Counter*> idle;  // per worker
   };
 
+  using Clock = std::chrono::steady_clock;
+
+  /// True when worker threads run the rounds (threads > 1, no controller).
+  [[nodiscard]] bool threaded() const {
+    return threads_ > 1 && options_.schedule == nullptr;
+  }
+  /// Throws if a failed phase poisoned the engine.
+  void require_usable() const;
   void worker_main(Worker& w);
   /// Runs `count` consecutive WM changes as one fused BSP phase (the
   /// single control-side path behind process_change / process_changes /
-  /// flush).
+  /// flush).  Seeds round 0, has the rounds driven, then merges.
   void run_phase(const ops5::WmeChange* changes, std::size_t count);
+  /// Keys and buckets one constant-test root and appends it to its
+  /// bucket owner's round 0.
+  void seed_root(const ops5::Wme& wme, const rete::Token& root,
+                 const rete::AlphaSuccessor& succ, rete::Tag tag,
+                 std::vector<rete::Value>& key);
+  /// The two ways to run a phase's rounds.  A worker thread runs its own
+  /// steps between the round and exchange barriers; the cooperative loop
+  /// runs every worker's steps on the calling thread, in index order.
   void run_worker_phase(Worker& w);
-  /// Schedule-controlled counterpart of the threaded round loop: runs
-  /// every worker's rounds cooperatively on the calling thread, with the
-  /// controller choosing drain and processing orders.
-  void run_controlled_phase();
+  void run_cooperative_phase();
+  /// The two halves of one worker's round, shared by both loops.  Each
+  /// starts at `start` (the clock reading that ended the worker's previous
+  /// segment), records its profiler spans, and returns its own ending
+  /// clock reading.  The match step processes `current` and keeps the
+  /// first failure in `error`; the exchange step fills `next` with the
+  /// next round's items in processing order.
+  Clock::time_point match_step(Worker& w, Clock::time_point start);
+  Clock::time_point exchange_step(Worker& w, Clock::time_point start);
   /// Resets a worker's per-phase state and recycles its last phase's
   /// items; every phase starts with it.
   static void begin_worker_phase(Worker& w);
-  void scan_roots(Worker& w);
+  /// Charges one phase's wall to the worker's busy/idle counters and
+  /// profiler lane.
+  static void end_worker_phase(Worker& w, Clock::time_point start,
+                               Clock::time_point end, std::uint64_t idle_ns);
   /// Pops a recycled WorkItem (token/key capacity intact) or default-
   /// constructs one.
   [[nodiscard]] static WorkItem take_item(Worker& w);
@@ -330,18 +368,15 @@ class ParallelEngine final : public rete::MatchEngine {
   rete::WmeTable wmes_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Phase handshake: control publishes the change and bumps the
-  // generation; workers run the phase; the last one to finish wakes the
-  // control thread.
+  // Phase handshake (worker threads only): control seeds round 0 and
+  // bumps the generation; workers run the phase; the last one to finish
+  // wakes the control thread.
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t phase_gen_ = 0;
   std::uint32_t workers_done_ = 0;
   bool stop_ = false;
-  // The fused batch the workers scan at round 0 (valid during a phase).
-  const ops5::WmeChange* phase_changes_ = nullptr;
-  std::size_t phase_change_count_ = 0;
 
   // Round machinery.  `phase_done_`/`rounds_executed_` are written only by
   // the exchange barrier's completion step, which std::barrier runs
@@ -366,6 +401,7 @@ class ParallelEngine final : public rete::MatchEngine {
   // Explicit-transaction state (begin_batch/flush).
   bool batching_ = false;
   std::vector<ops5::WmeChange> pending_batch_;
+  std::optional<std::string> failure_;  // set ⇒ poisoned by a failed phase
   Instruments instr_;
 };
 

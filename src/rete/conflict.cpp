@@ -17,11 +17,12 @@ void ConflictSet::add(Instantiation inst) {
   if (delta_hook_) delta_hook_(entries_.back().inst, true);
 }
 
-bool ConflictSet::remove(const Instantiation& inst) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].inst == inst) {
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (delta_hook_) delta_hook_(inst, false);
+bool ConflictSet::remove(ProductionId production, const Token& token) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->inst.production == production && it->inst.token == token) {
+      const Entry removed = std::move(*it);
+      entries_.erase(it);
+      if (delta_hook_) delta_hook_(removed.inst, false);
       return true;
     }
   }

@@ -33,14 +33,18 @@ class ConflictSet {
       std::function<std::size_t(ProductionId)> specificity_of);
 
   void add(Instantiation inst);
-  /// Removes an instantiation (and forgets its refraction mark).
-  /// Returns true if it was present.
-  bool remove(const Instantiation& inst);
+  /// Removes the instantiation of `production` by `token` (and forgets
+  /// its refraction mark), comparing in place rather than building an
+  /// Instantiation.  Returns true if it was present.
+  bool remove(ProductionId production, const Token& token);
+  bool remove(const Instantiation& inst) {
+    return remove(inst.production, inst.token);
+  }
 
   /// Observer of conflict-set mutations: called once per successful add
-  /// (`added == true`) and once per successful remove (`added == false`),
-  /// from the thread doing the mutation (both engines mutate the conflict
-  /// set only from their control thread).  The serving layer uses it to
+  /// (`added == true`) and once per successful remove (`added == false`,
+  /// with the removed entry), from the thread doing the mutation (both
+  /// engines mutate the conflict set only from their control thread).  The serving layer uses it to
   /// attribute each delta to the client transaction that caused it.
   using DeltaHook = std::function<void(const Instantiation&, bool added)>;
   void set_delta_hook(DeltaHook hook) { delta_hook_ = std::move(hook); }

@@ -50,14 +50,14 @@ struct EngineStats {
   friend bool operator==(const EngineStats&, const EngineStats&) = default;
 };
 
-/// Applies one +/- instantiation to a conflict set.
+/// Applies one +/- instantiation to a conflict set; only an add copies
+/// the token.
 inline void update_conflict_set(ConflictSet& cs, ProductionId pid,
                                 const Token& token, Tag tag) {
-  Instantiation inst{pid, token};
   if (tag == Tag::Plus) {
-    cs.add(std::move(inst));
+    cs.add(Instantiation{pid, token});
   } else {
-    cs.remove(inst);
+    cs.remove(pid, token);
   }
 }
 

@@ -219,6 +219,44 @@ TEST(BatchApi, FlushWithoutOpenBatchThrows) {
   EXPECT_THROW(engine.flush(), RuntimeError);
 }
 
+TEST(BatchApi, FailedWorkerPhasePoisonsTheEngine) {
+  // Deleting a wme the engine never saw fails on a worker thread: the
+  // right activation cannot resolve the wme.  The engine keeps that first
+  // error and drops the batch; every later call throws, naming it, and
+  // never re-runs the failed batch.
+  const rete::Network net =
+      rete::Network::compile(ops5::parse_program(kJoinSource));
+  pmatch::ParallelOptions popts;
+  popts.threads = 2;
+  pmatch::ParallelEngine engine(net, popts);
+  ops5::WorkingMemory wm;
+  wm.remove(wm.add(ops5::parse_wme("(right ^k 1)")));
+  const std::vector<ops5::WmeChange> changes = wm.drain_changes();
+  ASSERT_EQ(changes.size(), 2u);
+  const ops5::WmeChange& unknown_delete = changes[1];
+  std::string first_error;
+  try {
+    engine.process_change(unknown_delete);
+  } catch (const std::exception& e) {
+    first_error = e.what();
+  }
+  ASSERT_FALSE(first_error.empty()) << "the unknown delete did not fail";
+  const auto expect_poisoned = [&](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a poisoned engine accepted a call";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(first_error), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_poisoned([&] { engine.process_change(changes[0]); });
+  expect_poisoned([&] { engine.process_changes(changes); });
+  expect_poisoned([&] { engine.begin_batch(); });
+  expect_poisoned([&] { engine.flush(); });
+  EXPECT_EQ(engine.phases(), 0u);
+}
+
 TEST(BatchApi, EmptyFlushIsANoOp) {
   const rete::Network net =
       rete::Network::compile(ops5::parse_program(kJoinSource));

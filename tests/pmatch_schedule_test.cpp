@@ -1,13 +1,19 @@
 // Tests for the ParallelEngine's schedule-control seam: a controlled
 // (cooperative, thread-free) engine driven by an identity controller must
 // agree with the serial engine cycle for cycle, the engine validates
-// every permutation a controller hands back, and the incompatible
-// profiler+schedule combination is rejected at construction.
+// every permutation a controller hands back, a phase failed by a bad
+// answer poisons the engine, neither a controlled nor a 1-thread engine
+// starts a thread, and the incompatible profiler+schedule combination is
+// rejected at construction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -91,20 +97,25 @@ TEST(PmatchSchedule, ControlledIdentityMatchesSerialOnRandomPrograms) {
   }
 }
 
-/// Drives one fused phase with enough join traffic to reach round 1 (a
-/// two-CE production's single join emits conflict deltas directly in
-/// round 0, so three CEs are needed for round-ordered work items).
-template <typename Control>
-void run_join_phase(Control& control) {
-  const ops5::Program program = ops5::parse_program(
-      "(p pair (a ^k <x>) (b ^k <x>) (ctx ^tag on) --> (remove 1))\n");
-  const rete::Network net = rete::Network::compile(program);
+/// A program and one fused phase of changes with enough join traffic to
+/// reach round 1 (a two-CE production's single join emits conflict
+/// deltas directly in round 0, so three CEs are needed for round-ordered
+/// work items).
+rete::Network join_phase_network() {
+  return rete::Network::compile(ops5::parse_program(
+      "(p pair (a ^k <x>) (b ^k <x>) (ctx ^tag on) --> (remove 1))\n"));
+}
+
+pmatch::ParallelOptions join_phase_options(pmatch::ScheduleControl* control) {
   pmatch::ParallelOptions popts;
   popts.threads = 2;
   popts.num_buckets = 4;
   popts.max_batch = 0;
-  popts.schedule = &control;
-  pmatch::ParallelEngine engine(net, popts);
+  popts.schedule = control;
+  return popts;
+}
+
+std::vector<ops5::WmeChange> join_phase_changes() {
   ops5::WorkingMemory wm;
   wm.add(ops5::Wme(Symbol::intern("ctx"),
                    {{Symbol::intern("tag"), ops5::Value::sym("on")}}));
@@ -114,8 +125,14 @@ void run_join_phase(Control& control) {
     wm.add(ops5::Wme(Symbol::intern("b"),
                      {{Symbol::intern("k"), ops5::Value(k)}}));
   }
-  const std::vector<ops5::WmeChange> changes = wm.drain_changes();
-  engine.process_changes(changes);
+  return wm.drain_changes();
+}
+
+/// Runs the join phase on a controlled engine.
+void run_join_phase(pmatch::ScheduleControl& control) {
+  const rete::Network net = join_phase_network();
+  pmatch::ParallelEngine engine(net, join_phase_options(&control));
+  engine.process_changes(join_phase_changes());
 }
 
 TEST(PmatchSchedule, TruncatedRoundOrderThrows) {
@@ -176,13 +193,77 @@ TEST(PmatchSchedule, ProfilerPlusScheduleThrowsAtConstruction) {
   EXPECT_THROW(pmatch::ParallelEngine engine(net, popts), RuntimeError);
 }
 
+TEST(PmatchSchedule, FailedPhasePoisonsTheEngine) {
+  // The first order_round answer is not a permutation, so the first phase
+  // fails.  The engine must drop that batch and refuse every later call,
+  // not re-run the batch on the state the failed phase half-applied.
+  struct FailsOnce final : IdentityControl {
+    bool failed = false;
+    void order_round(std::uint32_t worker, std::uint32_t round,
+                     std::span<const pmatch::ScheduledOp> ops,
+                     std::vector<std::uint32_t>& order) override {
+      IdentityControl::order_round(worker, round, ops, order);
+      if (!failed) {
+        failed = true;
+        order.clear();
+      }
+    }
+  } control;
+  const rete::Network net = join_phase_network();
+  pmatch::ParallelEngine engine(net, join_phase_options(&control));
+  const std::vector<ops5::WmeChange> changes = join_phase_changes();
+  EXPECT_THROW(engine.process_changes(changes), RuntimeError);
+  ASSERT_TRUE(control.failed);
+  EXPECT_THROW(
+      {
+        engine.begin_batch();
+        engine.flush();
+      },
+      RuntimeError);
+  try {
+    engine.process_change(changes.front());
+    ADD_FAILURE() << "a poisoned engine ran a phase";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("order_round"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.phases(), 0u);
+}
+
+/// The threads of this process, as /proc lists them.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
 TEST(PmatchSchedule, ControlledEngineSpawnsNoThreads) {
-  // The controlled engine runs phases cooperatively on the calling
-  // thread; worker stats exist but accumulate no barrier wait time from
-  // free-running threads.  Mostly this asserts construction/destruction
-  // is clean without ever starting the thread pool.
+  // Under a controller, and at one thread, the calling thread runs every
+  // worker's steps: constructing the engine and running a phase must not
+  // start a thread.  A 2-thread engine without a controller shows that
+  // the count sees the worker threads it does start.
+  if (!std::filesystem::is_directory("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  const rete::Network net = join_phase_network();
+  const std::vector<ops5::WmeChange> changes = join_phase_changes();
   IdentityControl control;
-  run_join_phase(control);
+  pmatch::ParallelOptions one_thread = join_phase_options(nullptr);
+  one_thread.threads = 1;
+  const std::pair<pmatch::ParallelOptions, std::size_t> cases[] = {
+      {join_phase_options(&control), 0},
+      {one_thread, 0},
+      {join_phase_options(nullptr), 2},
+  };
+  for (const auto& [popts, spawned] : cases) {
+    SCOPED_TRACE(std::to_string(popts.threads) + " threads, " +
+                 (popts.schedule != nullptr ? "controlled" : "free"));
+    const std::size_t before = live_threads();
+    pmatch::ParallelEngine engine(net, popts);
+    engine.process_changes(changes);
+    EXPECT_EQ(engine.phases(), 1u);
+    EXPECT_EQ(live_threads(), before + spawned);
+  }
 }
 
 }  // namespace

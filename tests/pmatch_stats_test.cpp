@@ -211,5 +211,37 @@ TEST(WorkerPools, PooledItemsStopGrowingUnderOneSidedTraffic) {
       << 8 * period.size();
 }
 
+TEST(WorkerPools, OnlyTheOwnerTakesAnItemForARoot) {
+  // Each root is keyed once and handed to its bucket's owner, so a worker
+  // that owns no bucket never takes (and so never pools) a work item.
+  const rete::Network net =
+      rete::Network::compile(ops5::parse_program(kTwoJoinSource));
+  constexpr std::uint32_t kBuckets = 16;
+  pmatch::ParallelOptions popts;
+  popts.threads = 4;
+  popts.assignment = sim::Assignment::fixed(
+      std::vector<std::uint32_t>(kBuckets, 0), popts.threads);
+  pmatch::ParallelEngine engine(net, popts);
+  ops5::WorkingMemory wm;
+  for (int k = 0; k < 4; ++k) {
+    for (const char* cls : {"a", "b", "c"}) {
+      wm.add(ops5::parse_wme("(" + std::string(cls) + " ^k " +
+                             std::to_string(k) + ")"));
+    }
+  }
+  engine.begin_batch();
+  for (const ops5::WmeChange& change : wm.drain_changes()) {
+    engine.process_change(change);
+  }
+  engine.flush();
+  const std::vector<pmatch::WorkerStats> ws = engine.worker_stats();
+  ASSERT_EQ(ws.size(), 4u);
+  EXPECT_GT(ws[0].pooled_items, 0u);
+  for (std::uint32_t w = 1; w < 4; ++w) {
+    EXPECT_EQ(ws[w].activations, 0u) << "worker " << w;
+    EXPECT_EQ(ws[w].pooled_items, 0u) << "worker " << w;
+  }
+}
+
 }  // namespace
 }  // namespace mpps

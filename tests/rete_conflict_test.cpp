@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace mpps::rete {
 namespace {
 
@@ -109,6 +112,27 @@ TEST(ConflictSet, RemoveForgetsRefraction) {
 TEST(ConflictSet, RemoveAbsentReturnsFalse) {
   ConflictSet cs = make_cs();
   EXPECT_FALSE(cs.remove(inst(0, {1})));
+}
+
+TEST(ConflictSet, RemoveByProductionAndTokenFiresHookOnce) {
+  ConflictSet cs = make_cs();
+  std::vector<std::pair<Instantiation, bool>> deltas;
+  cs.set_delta_hook([&](const Instantiation& i, bool added) {
+    deltas.emplace_back(i, added);
+  });
+  const Instantiation kept = inst(1, {3, 4});
+  const Instantiation gone = inst(0, {3, 4});
+  cs.add(kept);
+  cs.add(gone);
+  // Same token, other production: only the (production, token) pair
+  // identifies an entry.
+  EXPECT_TRUE(cs.remove(gone.production, gone.token));
+  EXPECT_FALSE(cs.remove(gone.production, gone.token));
+  ASSERT_EQ(deltas.size(), 3u);
+  EXPECT_EQ(deltas[2].first, gone);
+  EXPECT_FALSE(deltas[2].second);
+  ASSERT_EQ(cs.all().size(), 1u);
+  EXPECT_EQ(cs.all()[0], kept);
 }
 
 TEST(ConflictSet, DeterministicFinalTiebreak) {
