@@ -67,8 +67,7 @@ int main() {
     for (int run : {0, 2, 4}) {
       sim::SimConfig config;
       config.match_processors = p;
-      config.costs = run == 0 ? sim::CostModel::zero_overhead()
-                              : sim::CostModel::paper_run(run);
+      config.costs = sim::CostModel::paper_run(run);
       table.cell(sim::speedup(piped.trace, config,
                               sim::Assignment::round_robin(
                                   piped.trace.num_buckets, p)),

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: a plain build + full test suite + simulator
-# self-check, then the same suite under AddressSanitizer/
+# self-check + a one-second smoke of each repository-benchmark workload,
+# then the same suite under AddressSanitizer/
 # UndefinedBehaviorSanitizer, then the multi-threaded sweep-engine tests
 # and the self-check under ThreadSanitizer, then a gcov line-coverage
 # floor on the simulator and orchestration layers.  This is the check
@@ -161,6 +162,25 @@ echo "=== tier-1: attribution percentage + latency percentile gate ==="
 python3 scripts/check_pct.py build/BENCH_pmatch.json \
   build/PROFILE_pmatch.json build/PROFILE_pmatch_1thread.json \
   build/BENCH_topology.json build/BENCH_serve.json build/SOAK_serve.json
+
+echo "=== tier-1: repository benchmark smoke (build/perfbench/) ==="
+# perfbench/ is its own Release CMake package that compiles src/, so an
+# API change that breaks its build or its correctness check would
+# otherwise pass this gate and fail only in a benchmark run.  One second
+# per workload: the figures are noise, the gate is the result line, which
+# must report a correct run with no failed operation.
+for workload in manners sweep-sections tenants; do
+  CARGO_TARGET_DIR=build python3 perfbench/run.py --workload "$workload" \
+    --seed 1 --seconds 1 --trace 0 > "build/perfbench-$workload.log"
+  if ! tail -n 1 "build/perfbench-$workload.log" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+'; then
+    echo "perfbench $workload smoke: no correct, failure-free result" >&2
+    exit 1
+  fi
+done
 
 if [ "$FAST" -eq 1 ]; then
   echo "=== tier-1 passed (sanitizer + coverage passes skipped via --fast) ==="

@@ -36,13 +36,23 @@ class RuntimeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Invalid caller-supplied configuration: a bad CLI flag value or an
-/// option-builder setter given an out-of-range argument.  The message
-/// names the offending field.  Derives from RuntimeError so call sites
-/// that only distinguish "configuration vs. IO" keep working; the CLI
-/// maps it to exit code 2 (usage) instead of 1 (runtime failure).
+/// Invalid caller-supplied configuration: a bad CLI flag value, or an
+/// options struct its consumer rejects through the struct's `validate()`.
+/// The message names the struct (or flag) and the field.  Derives from
+/// RuntimeError so call sites that only distinguish "configuration vs.
+/// IO" keep working; the CLI maps it to exit code 2 (usage) instead of 1
+/// (runtime failure).
 class UsageError : public RuntimeError {
   using RuntimeError::RuntimeError;
 };
+
+/// `options` once `options.validate()` accepted it: lets a constructor
+/// reject its options in the member-initialiser list, before any member
+/// is built from them.
+template <typename Options>
+Options validated(Options options) {
+  options.validate();
+  return options;
+}
 
 }  // namespace mpps

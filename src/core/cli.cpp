@@ -114,7 +114,8 @@ const std::vector<CommandSpec>& commands() {
            {"--match-threads", "N", "2",
             "match with N parallel worker threads (default: serial)"},
            {"--match-assign", "rr|random", "random",
-            "bucket partition across match workers (default rr)"},
+            "bucket partition across match workers (default rr;\n"
+            "requires --match-threads)"},
            {"--match-batch", "N", "16",
             "fuse up to N WM changes into one BSP phase (default 1;\n"
             "requires --match-threads)"},
@@ -334,7 +335,8 @@ std::string usage_text() {
 
 // Bad command-line input is an mpps::UsageError (common/error.hpp) —
 // reported with usage exit code 2, unlike runtime failures (exit 1).
-// The builders in mpps.hpp throw the same type for the same contract.
+// The options structs' `validate()` throws the same type, so an option
+// the flags parse but the consumer rejects exits 2 as well.
 
 /// Flag cursor over one subcommand's argument vector, validated against
 /// the command's spec on construction: an undeclared flag, a missing
@@ -630,17 +632,13 @@ int parse_run_model(const Args& args, int fallback) {
   return int_flag<int>(args, "--run", fallback, 0, 4);
 }
 
-sim::CostModel cost_model_for_run(int run) {
-  return run == 0 ? sim::CostModel::zero_overhead()
-                  : sim::CostModel::paper_run(run);
-}
-
 /// The bucket assignment an `--assign rr|random|greedy` policy deals for
-/// `config`'s partitions.
+/// `config`'s partitions.  Throws what `config.validate()` throws.
 sim::Assignment assignment_for(const std::string& policy,
                                const trace::Trace& t,
                                const sim::SimConfig& config,
                                std::uint64_t seed) {
+  config.validate();
   if (policy == "random") {
     return sim::Assignment::random(t.num_buckets, config.partitions(), seed);
   }
@@ -795,14 +793,10 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   const std::vector<std::uint32_t> procs_list =
       int_list_flag<std::uint32_t>(args, "--procs", "8", 1);
   const auto jobs = int_flag<unsigned>(args, "--jobs", 0);
-  if (profile && match_threads == 0) {
-    throw UsageError(
-        "--profile requires --match-threads (it attributes the parallel "
-        "match engine's wall time)");
-  }
   if (match_threads == 0) {
-    for (const char* flag : {"--match-batch", "--match-mailbox"}) {
-      if (!args.value(flag, "").empty()) {
+    for (const char* flag :
+         {"--match-assign", "--match-batch", "--match-mailbox", "--profile"}) {
+      if (args.find(flag) != nullptr || args.flag(flag)) {
         throw UsageError(std::string(flag) +
                          " requires --match-threads (it configures the "
                          "parallel match engine)");
@@ -904,7 +898,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     const PipelineResult recorded =
         record_trace(ops5::parse_program(source), path, pipeline);
     sim::SimConfig base_config;
-    base_config.costs = cost_model_for_run(run_model);
+    base_config.costs = sim::CostModel::paper_run(run_model);
     SweepOptions sweep_options;
     sweep_options.jobs = jobs;
     if (obs_out.any()) {
@@ -1239,7 +1233,7 @@ int cmd_stats(const Args& args, std::ostream& out, std::ostream& err) {
     scenario.label = "p" + std::to_string(procs);
     scenario.trace = &t;
     scenario.config.match_processors = procs;
-    scenario.config.costs = cost_model_for_run(run);
+    scenario.config.costs = sim::CostModel::paper_run(run);
     scenario.config.network = network;
     scenario.assignment = sim::Assignment::round_robin(
         t.num_buckets, scenario.config.partitions());
@@ -1339,7 +1333,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   sim::SimConfig config;
   config.match_processors = procs_list.front();
   const int run = parse_run_model(args, 1);
-  config.costs = cost_model_for_run(run);
+  config.costs = sim::CostModel::paper_run(run);
   const std::string mapping = enum_flag(args, "--mapping");
   if (mapping == "pairs") {
     config.mapping = sim::MappingMode::ProcessorPairs;
@@ -1506,7 +1500,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
       scenario.trace = &t;
       scenario.config.match_processors = p;
       if (pairs) scenario.config.mapping = sim::MappingMode::ProcessorPairs;
-      scenario.config.costs = cost_model_for_run(run);
+      scenario.config.costs = sim::CostModel::paper_run(run);
       scenario.config.network = network;
       scenario.assignment = assignment_for(assign, t, scenario.config, seed);
       scenarios.push_back(std::move(scenario));

@@ -5,20 +5,6 @@
 
 namespace mpps::core {
 
-std::vector<std::uint64_t> bucket_costs(const trace::Trace& trace,
-                                        std::size_t cycle,
-                                        const sim::CostModel& costs) {
-  std::vector<std::uint64_t> out(trace.num_buckets, 0);
-  for (const auto& act : trace.cycles[cycle].activations) {
-    std::uint64_t cost = static_cast<std::uint64_t>(
-        costs.token_cost(act.side == trace::Side::Left).nanos());
-    cost += static_cast<std::uint64_t>(costs.per_successor.nanos()) *
-            (act.successors + act.instantiations);
-    out[act.bucket] += cost;
-  }
-  return out;
-}
-
 sim::Assignment greedy_assignment(const trace::Trace& trace,
                                   std::uint32_t num_procs,
                                   const sim::CostModel& costs) {
@@ -82,7 +68,8 @@ sim::Assignment coalesce_small_cycles(const trace::Trace& trace,
 double load_imbalance(const trace::Trace& trace, std::size_t cycle,
                       const sim::Assignment& assignment,
                       const sim::CostModel& costs) {
-  const std::vector<std::uint64_t> weight = bucket_costs(trace, cycle, costs);
+  const std::vector<std::uint64_t> weight =
+      sim::bucket_costs(trace, cycle, costs);
   std::vector<std::uint64_t> load(assignment.num_procs(), 0);
   for (std::uint32_t b = 0; b < trace.num_buckets; ++b) {
     load[assignment.proc_of(cycle, b)] += weight[b];

@@ -14,13 +14,6 @@
 
 namespace mpps::core {
 
-/// Per-bucket processing cost (in nanoseconds of simulated work) for one
-/// cycle of the trace, under the given cost model: token add/delete plus
-/// successor generation, attributed to the bucket where the activation runs.
-std::vector<std::uint64_t> bucket_costs(const trace::Trace& trace,
-                                        std::size_t cycle,
-                                        const sim::CostModel& costs);
-
 /// Offline greedy (LPT) assignment: per cycle, sorts buckets by descending
 /// cost and assigns each to the least-loaded processor.  Zero-cost buckets
 /// are dealt round-robin.  Compatibility wrapper over
@@ -31,7 +24,8 @@ sim::Assignment greedy_assignment(const trace::Trace& trace,
                                   const sim::CostModel& costs);
 
 /// The load-variance of an assignment on one cycle (diagnostics): the ratio
-/// max-processor-load / mean-processor-load, >= 1, 1 == perfectly even.
+/// max-processor-load / mean-processor-load over sim::bucket_costs, >= 1,
+/// 1 == perfectly even.
 double load_imbalance(const trace::Trace& trace, std::size_t cycle,
                       const sim::Assignment& assignment,
                       const sim::CostModel& costs);

@@ -47,8 +47,7 @@ std::vector<SweepScenario> overhead_grid(
                        std::to_string(run);
       scenario.trace = &section.trace;
       scenario.config.match_processors = p;
-      scenario.config.costs = run == 0 ? sim::CostModel::zero_overhead()
-                                       : sim::CostModel::paper_run(run);
+      scenario.config.costs = sim::CostModel::paper_run(run);
       scenario.assignment =
           sim::Assignment::round_robin(section.trace.num_buckets, p);
       grid.push_back(std::move(scenario));

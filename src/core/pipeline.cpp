@@ -47,8 +47,7 @@ std::vector<SpeedupPoint> speedup_curve(const trace::Trace& trace,
     for (std::uint32_t p : procs) {
       sim::SimConfig config;
       config.match_processors = p;
-      config.costs =
-          run == 0 ? sim::CostModel::zero_overhead() : sim::CostModel::paper_run(run);
+      config.costs = sim::CostModel::paper_run(run);
       SpeedupPoint point;
       point.procs = p;
       point.run = run;

@@ -161,6 +161,7 @@ std::string Scenario::describe() const {
 }
 
 sim::Assignment make_assignment(const Scenario& scenario) {
+  scenario.config.validate();
   const std::uint32_t parts = scenario.config.partitions();
   const std::uint32_t buckets = scenario.trace.num_buckets;
   switch (scenario.assign) {
@@ -256,10 +257,6 @@ Scenario shrink_scenario(Scenario failing, FaultInjection fault,
     // Machine size: the smallest processor count that still fails.
     for (const std::uint32_t procs : {1u, 2u, 3u, 4u, 8u}) {
       if (procs >= failing.config.match_processors) break;
-      if (failing.config.mapping == sim::MappingMode::ProcessorPairs &&
-          (procs < 2 || procs % 2 != 0)) {
-        continue;
-      }
       Scenario candidate = failing;
       candidate.config.match_processors = procs;
       if (fails(candidate)) {

@@ -66,7 +66,8 @@ struct Scenario {
   [[nodiscard]] std::string describe() const;
 };
 
-/// The bucket assignment implied by the scenario.
+/// The bucket assignment implied by the scenario.  Throws what
+/// `scenario.config.validate()` throws.
 sim::Assignment make_assignment(const Scenario& scenario);
 
 /// Runs one differential + invariant comparison.  Returns an empty string

@@ -26,10 +26,11 @@
 // transaction path underneath.  `ParallelEngine::process_changes` remains
 // as a thin shim over that path for existing callers.
 //
-// Builders (each `build()` returns the plain options struct).  Shared
-// error contract: every setter validates its argument immediately and
-// throws mpps::UsageError naming the field — never a silent coercion at
-// build() or later:
+// Builders (each `build()` returns the plain options struct).  Setters
+// store; the consumer (simulate, Engine, ParallelEngine, ServeEngine)
+// calls the struct's `validate()`, whose mpps::UsageError names the
+// struct and the field, so a bad value fails the same way whether the
+// struct was built or filled directly (docs/API.md, "Builders"):
 //
 //   SimConfig config = SimConfigBuilder()
 //       .match_processors(16).run(2).pairs_mapping()
@@ -153,20 +154,12 @@ using obs::Tracer;
 class SimConfigBuilder {
  public:
   SimConfigBuilder& match_processors(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "SimConfigBuilder: match_processors must be positive");
-    }
     config_.match_processors = n;
     return *this;
   }
-  /// Overhead cost model: 0 = zero-overhead, 1..4 = the paper's runs.
+  /// Overhead cost model: `CostModel::paper_run(paper_run)`.
   SimConfigBuilder& run(int paper_run) {
-    if (paper_run < 0 || paper_run > 4) {
-      throw UsageError("SimConfigBuilder: run must be in 0..4");
-    }
-    config_.costs = paper_run == 0 ? CostModel::zero_overhead()
-                                   : CostModel::paper_run(paper_run);
+    config_.costs = CostModel::paper_run(paper_run);
     return *this;
   }
   SimConfigBuilder& costs(const CostModel& model) {
@@ -209,9 +202,6 @@ class SimConfigBuilder {
 class EngineOptionsBuilder {
  public:
   EngineOptionsBuilder& num_buckets(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError("EngineOptionsBuilder: num_buckets must be positive");
-    }
     options_.num_buckets = n;
     return *this;
   }
@@ -229,17 +219,11 @@ class EngineOptionsBuilder {
 class ParallelOptionsBuilder {
  public:
   ParallelOptionsBuilder& threads(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError("ParallelOptionsBuilder: threads must be positive");
-    }
     options_.threads = n;
     return *this;
   }
+  /// 0 (the default) inherits the interpreter's EngineOptions::num_buckets.
   ParallelOptionsBuilder& num_buckets(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ParallelOptionsBuilder: num_buckets must be positive");
-    }
     options_.num_buckets = n;
     return *this;
   }
@@ -257,13 +241,8 @@ class ParallelOptionsBuilder {
     options_.assignment = std::move(map);
     return *this;
   }
-  /// Mailbox backpressure threshold.  Zero is rejected here, at the
-  /// builder layer, rather than silently coerced downstream.
+  /// Mailbox backpressure threshold.
   ParallelOptionsBuilder& mailbox_capacity(std::size_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ParallelOptionsBuilder: mailbox_capacity must be positive");
-    }
     options_.mailbox_capacity = n;
     return *this;
   }
@@ -299,71 +278,33 @@ class ServeOptionsBuilder {
  public:
   /// Worker threads in the underlying `ParallelEngine`.
   ServeOptionsBuilder& threads(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError("ServeOptionsBuilder: threads must be positive");
-    }
     options_.match.threads = n;
     return *this;
   }
   ServeOptionsBuilder& num_buckets(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError("ServeOptionsBuilder: num_buckets must be positive");
-    }
     options_.match.num_buckets = n;
     return *this;
   }
   ServeOptionsBuilder& mailbox_capacity(std::size_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ServeOptionsBuilder: mailbox_capacity must be positive");
-    }
     options_.match.mailbox_capacity = n;
     return *this;
   }
   /// Most transactions (one per session) fused into a single BSP phase.
   ServeOptionsBuilder& admission_batch(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ServeOptionsBuilder: admission_batch must be positive");
-    }
     options_.admission_batch = n;
     return *this;
   }
   /// Bound on queued transactions before `submit` blocks (backpressure).
   ServeOptionsBuilder& queue_capacity(std::size_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ServeOptionsBuilder: queue_capacity must be positive");
-    }
     options_.queue_capacity = n;
     return *this;
   }
   ServeOptionsBuilder& max_sessions(std::uint32_t n) {
-    if (n == 0) {
-      throw UsageError("ServeOptionsBuilder: max_sessions must be positive");
-    }
     options_.max_sessions = n;
     return *this;
   }
   ServeOptionsBuilder& metrics(Registry* registry) {
     options_.metrics = registry;
-    return *this;
-  }
-  /// Explicit latency histogram bucket bounds, in microseconds, strictly
-  /// increasing.  Default: exponential 1us..~33.5s.
-  ServeOptionsBuilder& latency_bounds_us(std::vector<std::int64_t> bounds) {
-    if (bounds.empty()) {
-      throw UsageError(
-          "ServeOptionsBuilder: latency_bounds_us must be non-empty");
-    }
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      if (bounds[i] <= bounds[i - 1]) {
-        throw UsageError(
-            "ServeOptionsBuilder: latency_bounds_us must be strictly "
-            "increasing");
-      }
-    }
-    options_.latency_bounds_us = std::move(bounds);
     return *this;
   }
   [[nodiscard]] ServeOptions build() const { return options_; }

@@ -72,8 +72,7 @@ inline void emit_table(const TextTable& table, int argc, char** argv,
 inline sim::SimConfig config_for(std::uint32_t procs, int run) {
   sim::SimConfig config;
   config.match_processors = procs;
-  config.costs = run == 0 ? sim::CostModel::zero_overhead()
-                          : sim::CostModel::paper_run(run);
+  config.costs = sim::CostModel::paper_run(run);
   return config;
 }
 

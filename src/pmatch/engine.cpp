@@ -19,10 +19,6 @@ using rete::Token;
 
 namespace {
 
-std::uint32_t resolve_threads(const ParallelOptions& options) {
-  return options.threads == 0 ? 1 : options.threads;
-}
-
 std::uint32_t resolve_buckets(const ParallelOptions& options) {
   if (options.assignment.has_value()) {
     return options.assignment->num_buckets();
@@ -31,25 +27,13 @@ std::uint32_t resolve_buckets(const ParallelOptions& options) {
 }
 
 sim::Assignment resolve_assignment(const ParallelOptions& options,
-                                   std::uint32_t threads,
                                    std::uint32_t num_buckets) {
-  if (options.assignment.has_value()) {
-    if (options.assignment->num_buckets() == 0) {
-      throw RuntimeError("ParallelEngine: assignment has no buckets");
-    }
-    if (options.assignment->num_procs() != threads) {
-      throw RuntimeError(
-          "ParallelEngine: assignment maps " +
-          std::to_string(options.assignment->num_procs()) +
-          " processors but the engine runs " + std::to_string(threads) +
-          " threads");
-    }
-    return *options.assignment;
-  }
+  if (options.assignment.has_value()) return *options.assignment;
   if (options.partition == ParallelOptions::Partition::Random) {
-    return sim::Assignment::random(num_buckets, threads, options.seed);
+    return sim::Assignment::random(num_buckets, options.threads,
+                                   options.seed);
   }
-  return sim::Assignment::round_robin(num_buckets, threads);
+  return sim::Assignment::round_robin(num_buckets, options.threads);
 }
 
 std::uint64_t ns_between(std::chrono::steady_clock::time_point from,
@@ -101,13 +85,39 @@ void reorder_by(std::vector<T>& items,
 
 }  // namespace
 
+void ParallelOptions::validate() const {
+  if (threads == 0) {
+    throw UsageError("ParallelOptions: threads must be positive");
+  }
+  if (mailbox_capacity == 0) {
+    throw UsageError("ParallelOptions: mailbox_capacity must be positive");
+  }
+  if (schedule != nullptr && profiler != nullptr) {
+    throw UsageError(
+        "ParallelOptions: schedule and profiler are exclusive (the "
+        "schedule-controlled mode is single-threaded and cooperative, so "
+        "the wall-clock profiler would attribute nothing meaningful)");
+  }
+  if (assignment.has_value()) {
+    if (assignment->num_buckets() == 0) {
+      throw UsageError("ParallelOptions: assignment has no buckets");
+    }
+    if (assignment->num_procs() != threads) {
+      throw UsageError("ParallelOptions: assignment maps " +
+                       std::to_string(assignment->num_procs()) +
+                       " processors but threads is " +
+                       std::to_string(threads));
+    }
+  }
+}
+
 ParallelEngine::ParallelEngine(const rete::Network& net,
                                ParallelOptions options)
     : net_(net),
-      options_(options),
-      threads_(resolve_threads(options)),
-      num_buckets_(resolve_buckets(options)),
-      assignment_(resolve_assignment(options, threads_, num_buckets_)),
+      options_(validated(std::move(options))),
+      threads_(options_.threads),
+      num_buckets_(resolve_buckets(options_)),
+      assignment_(resolve_assignment(options_, num_buckets_)),
       owner_map_(assignment_.map_for(0)),
       conflict_([&net](ProductionId pid) {
         return net.production(pid).specificity();
@@ -115,16 +125,7 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       round_barrier_(static_cast<std::ptrdiff_t>(threads_)),
       exchange_barrier_(static_cast<std::ptrdiff_t>(threads_),
                         ExchangeCompletion{this}),
-      mirror_(options.metrics) {
-  if (options_.mailbox_capacity == 0) {
-    throw RuntimeError("ParallelEngine: mailbox_capacity must be positive");
-  }
-  if (options_.schedule != nullptr && options_.profiler != nullptr) {
-    throw RuntimeError(
-        "ParallelEngine: schedule-controlled mode is single-threaded and "
-        "cooperative; the wall-clock profiler would attribute nothing "
-        "meaningful (drop one of schedule/profiler)");
-  }
+      mirror_(options_.metrics) {
   workers_.reserve(threads_);
   for (std::uint32_t i = 0; i < threads_; ++i) {
     workers_.push_back(std::make_unique<Worker>(
@@ -768,6 +769,7 @@ void ParallelEngine::flush_metrics() {
 rete::MatchEngineFactory parallel_engine_factory(ParallelOptions options) {
   return [options](const rete::Network& net, const rete::EngineOptions& eopts)
              -> std::unique_ptr<rete::MatchEngine> {
+    eopts.validate();
     ParallelOptions merged = options;
     if (merged.num_buckets == 0 && !merged.assignment.has_value()) {
       merged.num_buckets = eopts.num_buckets;
@@ -779,40 +781,12 @@ rete::MatchEngineFactory parallel_engine_factory(ParallelOptions options) {
 
 sim::Assignment greedy_static(const trace::Trace& trace, std::uint32_t threads,
                               const sim::CostModel& costs) {
-  if (threads == 0) threads = 1;
-  const std::uint32_t num_buckets = trace.num_buckets;
-  std::vector<std::uint64_t> cost(num_buckets, 0);
-  for (const auto& cycle : trace.cycles) {
-    for (const auto& a : cycle.activations) {
-      const SimTime c = costs.token_cost(a.side == Side::Left) +
-                        costs.per_successor * a.successors;
-      cost[a.bucket] += static_cast<std::uint64_t>(c.nanos());
-    }
+  std::vector<std::uint64_t> total(trace.num_buckets, 0);
+  for (std::size_t c = 0; c < trace.cycles.size(); ++c) {
+    const std::vector<std::uint64_t> cost = sim::bucket_costs(trace, c, costs);
+    for (std::uint32_t b = 0; b < trace.num_buckets; ++b) total[b] += cost[b];
   }
-  std::vector<std::uint32_t> order(num_buckets);
-  for (std::uint32_t b = 0; b < num_buckets; ++b) order[b] = b;
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
-            });
-  std::vector<std::uint64_t> load(threads, 0);
-  std::vector<std::uint32_t> map(num_buckets, 0);
-  std::uint32_t rr = 0;
-  for (std::uint32_t b : order) {
-    if (cost[b] == 0) {
-      // Zero-cost buckets are dealt round-robin, as in Assignment::greedy.
-      map[b] = rr;
-      rr = (rr + 1) % threads;
-      continue;
-    }
-    std::uint32_t best = 0;
-    for (std::uint32_t p = 1; p < threads; ++p) {
-      if (load[p] < load[best]) best = p;
-    }
-    map[b] = best;
-    load[best] += cost[b];
-  }
-  return sim::Assignment::fixed(std::move(map), threads);
+  return sim::Assignment::fixed(sim::greedy_map(total, threads), threads);
 }
 
 }  // namespace mpps::pmatch

@@ -74,7 +74,7 @@
 namespace mpps::pmatch {
 
 struct ParallelOptions {
-  /// Workers = match processors.  0 ⇒ 1.  Above 1 (and without
+  /// Workers = match processors; must be positive.  Above 1 (and without
   /// `schedule`) each worker runs on its own thread; at 1 the calling
   /// thread runs the worker, so the engine spawns no thread.
   std::uint32_t threads = 2;
@@ -87,13 +87,12 @@ struct ParallelOptions {
   /// Seed for Partition::Random.
   std::uint64_t seed = 1;
   /// Explicit bucket→worker map (e.g. from `greedy_static`).  Overrides
-  /// `partition`/`num_buckets`; its num_procs must equal `threads`.  Only
-  /// the cycle-0 map is used: tokens live in worker-owned memories across
-  /// cycles, so the partition cannot migrate mid-run.
+  /// `partition`/`num_buckets`; it must have buckets, and its num_procs
+  /// must equal `threads`.  Only the cycle-0 map is used: tokens live in
+  /// worker-owned memories across cycles, so the partition cannot migrate
+  /// mid-run.
   std::optional<sim::Assignment> assignment;
-  /// Mailbox backpressure threshold (see mailbox.hpp).  Must be positive;
-  /// zero is rejected at construction (and earlier, with a UsageError, by
-  /// the CLI / ParallelOptionsBuilder layers).
+  /// Mailbox backpressure threshold (see mailbox.hpp); must be positive.
   std::size_t mailbox_capacity = 1024;
   /// Upper bound on WM changes fused into one BSP phase by
   /// `process_changes`.  1 (default) keeps the legacy one-change-one-phase
@@ -121,8 +120,14 @@ struct ParallelOptions {
   /// controller for each admissible ordering decision instead of sorting
   /// (src/pmatch/schedule.hpp).  This is the seam the `src/mc` model
   /// checker drives.  Controlled mode is for exploring orderings, not for
-  /// measurement: combining it with `profiler` throws at construction.
+  /// measurement: it excludes `profiler`.
   ScheduleControl* schedule = nullptr;
+
+  /// Throws mpps::UsageError naming the field when `threads` or
+  /// `mailbox_capacity` is 0, when both `schedule` and `profiler` are set,
+  /// or when `assignment` has no buckets or maps a processor count other
+  /// than `threads`.
+  void validate() const;
 };
 
 /// Measured (wall-clock) per-worker counters, cumulative over the run.
@@ -141,7 +146,8 @@ struct WorkerStats {
 
 class ParallelEngine final : public rete::MatchEngine {
  public:
-  /// The network must outlive the engine.  Spawns the worker threads when
+  /// The network must outlive the engine.  Throws what
+  /// `options.validate()` throws.  Spawns the worker threads when
   /// `threads > 1` and no `schedule` is set.
   explicit ParallelEngine(const rete::Network& net,
                           ParallelOptions options = {});
@@ -407,15 +413,15 @@ class ParallelEngine final : public rete::MatchEngine {
 
 /// Adapts ParallelOptions into the InterpreterOptions::engine_factory
 /// slot.  num_buckets == 0 and metrics == nullptr inherit the values of
-/// the rete::EngineOptions the interpreter passes in.
+/// the rete::EngineOptions the interpreter passes in; the factory throws
+/// what that struct's `validate()` throws.
 rete::MatchEngineFactory parallel_engine_factory(ParallelOptions options);
 
 /// Whole-trace greedy (LPT) bucket→worker map: the offline-greedy policy
 /// of sim::Assignment::greedy collapsed to a single static partition, so
 /// it can drive a live engine whose tokens cannot migrate between cycles.
-/// Buckets are costed over the entire trace with the paper's cost model
-/// (token add/delete + successor generation) and dealt most-expensive
-/// first to the least-loaded worker.
+/// Each bucket's sim::bucket_costs, summed over every cycle, is dealt by
+/// sim::greedy_map.  Throws mpps::RuntimeError when `threads` is 0.
 sim::Assignment greedy_static(const trace::Trace& trace,
                               std::uint32_t threads,
                               const sim::CostModel& costs);

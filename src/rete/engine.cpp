@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/common/error.hpp"
+
 namespace mpps::rete {
 
 namespace {
@@ -15,6 +17,12 @@ JoinHistograms join_histograms(obs::Registry* reg) {
 }
 
 }  // namespace
+
+void EngineOptions::validate() const {
+  if (num_buckets == 0) {
+    throw UsageError("EngineOptions: num_buckets must be positive");
+  }
+}
 
 StatsMirror::StatsMirror(obs::Registry* registry) {
   if (registry == nullptr) return;
@@ -52,7 +60,7 @@ struct Engine::QueueSink {
 
 Engine::Engine(const Network& net, EngineOptions options)
     : net_(net),
-      options_(options),
+      options_(validated(options)),
       join_(wmes_, options.num_buckets, join_histograms(options.metrics)),
       conflict_([&net](ProductionId pid) {
         return net.production(pid).specificity();

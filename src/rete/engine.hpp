@@ -56,6 +56,9 @@ struct EngineOptions {
   /// Records rete.* counters, the hash-probe-length histogram and the
   /// bucket-occupancy histogram.  Null ⇒ zero recording cost.
   obs::Registry* metrics = nullptr;
+
+  /// Throws mpps::UsageError naming the field when `num_buckets` is 0.
+  void validate() const;
 };
 
 /// Mirrors a match engine's EngineStats into a metrics registry: the
@@ -121,7 +124,8 @@ using MatchEngineFactory = std::function<std::unique_ptr<MatchEngine>(
 
 class Engine final : public MatchEngine {
  public:
-  /// The network must outlive the engine.
+  /// The network must outlive the engine.  Throws what
+  /// `options.validate()` throws.
   explicit Engine(const Network& net, EngineOptions options = {});
 
   // The join kernel refers to this engine's wme table.

@@ -10,40 +10,38 @@ namespace {
 
 constexpr char kSessionAttrText[] = "__mpps-session";
 
-std::vector<std::int64_t> default_latency_bounds() {
-  // 1us .. ~33.5s in powers of two: fine enough at the bottom for
-  // in-memory matching, wide enough at the top for soak-length stalls.
-  return obs::Histogram::exponential_bounds(1, 2.0, 26);
-}
-
 }  // namespace
 
 Symbol session_attr() { return Symbol::intern(kSessionAttrText); }
 
+void ServeOptions::validate() const {
+  if (admission_batch == 0) {
+    throw UsageError("ServeOptions: admission_batch must be positive");
+  }
+  if (queue_capacity == 0) {
+    throw UsageError("ServeOptions: queue_capacity must be positive");
+  }
+  if (max_sessions == 0) {
+    throw UsageError("ServeOptions: max_sessions must be positive");
+  }
+  if (match.schedule != nullptr) {
+    throw UsageError(
+        "ServeOptions: match.schedule must be null (serving drives real "
+        "threads, not a model-checking controller)");
+  }
+  match.validate();
+}
+
 ServeEngine::ServeEngine(const ops5::Program& program, ServeOptions options)
-    : options_(std::move(options)),
+    : options_(validated(std::move(options))),
       net_([&] {
         rete::CompileOptions copts = options_.compile;
         copts.partition_attr = session_attr();
         return rete::Network::compile(program, copts);
       }()),
-      latency_hist_(options_.latency_bounds_us.empty()
-                        ? default_latency_bounds()
-                        : options_.latency_bounds_us) {
-  if (options_.admission_batch == 0) {
-    throw UsageError("ServeOptions: admission_batch must be positive");
-  }
-  if (options_.queue_capacity == 0) {
-    throw UsageError("ServeOptions: queue_capacity must be positive");
-  }
-  if (options_.max_sessions == 0) {
-    throw UsageError("ServeOptions: max_sessions must be positive");
-  }
-  if (options_.match.schedule != nullptr) {
-    throw UsageError(
-        "ServeOptions: match.schedule must be null (serving drives real "
-        "threads, not a model-checking controller)");
-  }
+      // 1us .. ~33.5s in powers of two: fine enough at the bottom for
+      // in-memory matching, wide enough at the top for soak-length stalls.
+      latency_hist_(obs::Histogram::exponential_bounds(1, 2.0, 26)) {
   // Phase boundaries are the admission batches; a max_batch chunk inside
   // one would split a transaction across phases.
   options_.match.max_batch = 0;

@@ -60,30 +60,33 @@ namespace mpps::serve {
 
 struct ServeOptions {
   /// The parallel match engine's knobs (threads, buckets, mailboxes,
-  /// profiler...).  `schedule` must be null: serving is driven by real
-  /// threads, not a model-checking controller.  `max_batch` is ignored —
-  /// admission batching decides phase boundaries (one explicit
-  /// transaction batch per fused phase).
+  /// profiler...), under ParallelOptions' own rules.  `schedule` must be
+  /// null: serving is driven by real threads, not a model-checking
+  /// controller.  `max_batch` is ignored — admission batching decides
+  /// phase boundaries (one explicit transaction batch per fused phase).
   pmatch::ParallelOptions match;
   /// Rete compilation knobs; `partition_attr` is forced to
   /// `session_attr()` regardless of what it holds.
   rete::CompileOptions compile;
-  /// Max transactions fused into one BSP phase (>= 1).  Only transactions
-  /// from distinct sessions fuse; a session's own transactions always run
-  /// in separate phases, in submission order.
+  /// Max transactions fused into one BSP phase; must be positive.  Only
+  /// transactions from distinct sessions fuse; a session's own
+  /// transactions always run in separate phases, in submission order.
   std::uint32_t admission_batch = 16;
-  /// Bound on queued-but-unadmitted transactions; `submit` blocks (the
-  /// closed-loop backpressure) while the queue is full.
+  /// Bound on queued-but-unadmitted transactions (must be positive);
+  /// `submit` blocks (the closed-loop backpressure) while the queue is
+  /// full.
   std::size_t queue_capacity = 256;
-  /// Concurrently open sessions allowed (>= 1).
+  /// Concurrently open sessions allowed; must be positive.
   std::uint32_t max_sessions = 1024;
   /// Optional metrics registry (not owned).  Adds the serve.* instruments
   /// (docs/SERVING.md) and, if `match.metrics` is unset, also routes the
   /// engine's rete.*/pmatch.* counters here.
   obs::Registry* metrics = nullptr;
-  /// Upper bucket edges (microseconds) of the transaction-latency
-  /// histogram; empty picks exponential 1us..~33s defaults.
-  std::vector<std::int64_t> latency_bounds_us;
+
+  /// Throws mpps::UsageError naming the field when `admission_batch`,
+  /// `queue_capacity` or `max_sessions` is 0 or `match.schedule` is set,
+  /// then applies `match.validate()`.
+  void validate() const;
 };
 
 struct SessionOptions {
@@ -239,7 +242,7 @@ struct LatencyReport {
 class ServeEngine {
  public:
   /// Compiles `program` with partition isolation and starts serving.
-  /// Throws mpps::UsageError on invalid options.
+  /// Throws what `options.validate()` throws.
   explicit ServeEngine(const ops5::Program& program, ServeOptions options = {});
   ~ServeEngine();
 

@@ -73,14 +73,9 @@ Assignment Assignment::fixed(std::vector<std::uint32_t> map,
   return a;
 }
 
-namespace {
-
-/// Per-bucket processing cost (simulated nanoseconds) of one trace cycle:
-/// token add/delete plus successor/instantiation generation, attributed to
-/// the bucket where the activation runs.
-std::vector<std::uint64_t> cycle_bucket_costs(const trace::Trace& trace,
-                                              std::size_t cycle,
-                                              const CostModel& costs) {
+std::vector<std::uint64_t> bucket_costs(const trace::Trace& trace,
+                                        std::size_t cycle,
+                                        const CostModel& costs) {
   std::vector<std::uint64_t> out(trace.num_buckets, 0);
   for (const auto& act : trace.cycles[cycle].activations) {
     std::uint64_t cost = static_cast<std::uint64_t>(
@@ -92,38 +87,39 @@ std::vector<std::uint64_t> cycle_bucket_costs(const trace::Trace& trace,
   return out;
 }
 
-}  // namespace
+std::vector<std::uint32_t> greedy_map(const std::vector<std::uint64_t>& weight,
+                                      std::uint32_t num_procs) {
+  require_procs(num_procs);
+  std::vector<std::uint32_t> order(weight.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return weight[a] > weight[b];
+                   });
+  std::vector<std::uint64_t> load(num_procs, 0);
+  std::vector<std::uint32_t> map(weight.size(), 0);
+  std::uint32_t rr = 0;
+  for (std::uint32_t bucket : order) {
+    if (weight[bucket] == 0) {
+      map[bucket] = rr++ % num_procs;
+      continue;
+    }
+    const auto min_it = std::min_element(load.begin(), load.end());
+    const auto proc =
+        static_cast<std::uint32_t>(std::distance(load.begin(), min_it));
+    map[bucket] = proc;
+    load[proc] += weight[bucket];
+  }
+  return map;
+}
 
 Assignment Assignment::greedy(const trace::Trace& trace,
                               std::uint32_t num_procs,
                               const CostModel& costs) {
-  require_procs(num_procs);
   std::vector<std::vector<std::uint32_t>> maps;
   maps.reserve(trace.cycles.size());
   for (std::size_t c = 0; c < trace.cycles.size(); ++c) {
-    const std::vector<std::uint64_t> weight =
-        cycle_bucket_costs(trace, c, costs);
-    std::vector<std::uint32_t> order(trace.num_buckets);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return weight[a] > weight[b];
-                     });
-    std::vector<std::uint64_t> load(num_procs, 0);
-    std::vector<std::uint32_t> map(trace.num_buckets, 0);
-    std::uint32_t rr = 0;
-    for (std::uint32_t bucket : order) {
-      if (weight[bucket] == 0) {
-        map[bucket] = rr++ % num_procs;
-        continue;
-      }
-      const auto min_it = std::min_element(load.begin(), load.end());
-      const auto proc =
-          static_cast<std::uint32_t>(std::distance(load.begin(), min_it));
-      map[bucket] = proc;
-      load[proc] += weight[bucket];
-    }
-    maps.push_back(std::move(map));
+    maps.push_back(greedy_map(bucket_costs(trace, c, costs), num_procs));
   }
   return per_cycle(std::move(maps), num_procs);
 }

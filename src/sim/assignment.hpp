@@ -35,9 +35,7 @@ class Assignment {
                           std::uint32_t num_procs);
 
   /// Offline greedy (LPT) assignment, the paper's Section 5.2.2 algorithm:
-  /// per cycle, sorts buckets by descending processing cost under `costs`
-  /// (token add/delete plus successor generation) and assigns each to the
-  /// least-loaded processor; zero-cost buckets are dealt round-robin.
+  /// per cycle, deals the cycle's `bucket_costs` through `greedy_map`.
   /// Produces one map per trace cycle.  `core::greedy_assignment` is a
   /// compatibility wrapper over this.
   static Assignment greedy(const trace::Trace& trace, std::uint32_t num_procs,
@@ -71,5 +69,20 @@ class Assignment {
   std::vector<std::vector<std::uint32_t>> maps_;
   std::uint32_t num_procs_ = 1;
 };
+
+/// Per-bucket processing cost (simulated nanoseconds) of one trace cycle
+/// under `costs`: token add/delete plus successor and instantiation
+/// generation, attributed to the bucket where the activation runs.
+std::vector<std::uint64_t> bucket_costs(const trace::Trace& trace,
+                                        std::size_t cycle,
+                                        const CostModel& costs);
+
+/// The LPT deal behind every greedy policy: buckets sorted by descending
+/// `weight` (ties by index), each given to the least-loaded processor
+/// (ties to the lowest index); zero-weight buckets are dealt round-robin.
+/// Returns one processor index per bucket.  Throws mpps::RuntimeError
+/// when `num_procs` is 0.
+std::vector<std::uint32_t> greedy_map(const std::vector<std::uint64_t>& weight,
+                                      std::uint32_t num_procs);
 
 }  // namespace mpps::sim

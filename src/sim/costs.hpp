@@ -2,6 +2,9 @@
 // (Table 5-1).
 #pragma once
 
+#include <string>
+
+#include "src/common/error.hpp"
 #include "src/common/simtime.hpp"
 
 namespace mpps::sim {
@@ -40,10 +43,12 @@ struct CostModel {
   }
 
   /// Table 5-1's Run 1..4: latency 0.5 us; send/recv overheads
-  /// 0/0, 5/3, 10/6, 20/12 us.
+  /// 0/0, 5/3, 10/6, 20/12 us.  Run 0 is `zero_overhead()`; any other
+  /// run is a UsageError naming `run`.
   static CostModel paper_run(int run) {
     CostModel m;
     switch (run) {
+      case 0: return zero_overhead();
       case 1: break;
       case 2:
         m.send_overhead = SimTime::us(5);
@@ -57,7 +62,9 @@ struct CostModel {
         m.send_overhead = SimTime::us(20);
         m.recv_overhead = SimTime::us(12);
         break;
-      default: break;
+      default:
+        throw UsageError("CostModel: run must be in 0..4, got " +
+                         std::to_string(run));
     }
     return m;
   }

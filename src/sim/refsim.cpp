@@ -451,12 +451,7 @@ class RefCycle {
 
 SimResult ref_simulate(const Trace& trace, const SimConfig& config,
                        const Assignment& assignment) {
-  if (config.mapping == MappingMode::ProcessorPairs &&
-      (config.match_processors < 2 || config.match_processors % 2 != 0)) {
-    throw RuntimeError(
-        "processor-pair mapping requires an even number (>= 2) of match "
-        "processors");
-  }
+  config.validate();
   if (assignment.num_procs() != config.partitions()) {
     throw RuntimeError(
         "bucket assignment targets " + std::to_string(assignment.num_procs()) +

@@ -28,9 +28,9 @@ namespace mpps::sim {
 
 /// Replays `trace` on the simulated machine exactly like sim::simulate,
 /// via the naive reference implementation.  Observability sinks in
-/// `config` are ignored (the reference engine records nothing).  Throws
-/// mpps::RuntimeError on the same inconsistent configurations the fast
-/// engine rejects.
+/// `config` are ignored (the reference engine records nothing).  Rejects
+/// the same inputs as sim::simulate: `config.validate()`, then the
+/// assignment-vs-partitions check.
 SimResult ref_simulate(const trace::Trace& trace, const SimConfig& config,
                        const Assignment& assignment);
 

@@ -104,6 +104,10 @@ struct SimConfig {
     return mapping == MappingMode::ProcessorPairs ? match_processors / 2
                                                   : match_processors;
   }
+
+  /// Throws mpps::UsageError naming the field when `match_processors` is
+  /// 0, or odd or below 2 under the processor-pair mapping.
+  void validate() const;
 };
 
 /// Per-processor, per-cycle observations (Fig 5-5 and idle-time analysis).
@@ -148,9 +152,9 @@ struct SimResult {
 };
 
 /// Runs the trace through the simulated machine.  Deterministic: identical
-/// inputs produce identical results.  Throws mpps::RuntimeError when the
-/// configuration is inconsistent (odd processor count in pair mode, or an
-/// assignment whose processor range differs from config.partitions()).
+/// inputs produce identical results.  Throws what `config.validate()`
+/// throws, and mpps::RuntimeError when the assignment's processor range
+/// differs from config.partitions().
 SimResult simulate(const trace::Trace& trace, const SimConfig& config,
                    const Assignment& assignment);
 

@@ -150,9 +150,16 @@ TEST(Cli, SimulateGreedyAndPairs) {
   const CliRun pairs = cli({"simulate", trace_path, "--procs", "4",
                             "--mapping", "pairs", "--termination", "poll"});
   EXPECT_EQ(pairs.code, 0);
-  const CliRun odd_pairs =
-      cli({"simulate", trace_path, "--procs", "3", "--mapping", "pairs"});
-  EXPECT_EQ(odd_pairs.code, 1);  // invalid configuration is an error
+  // An odd processor count under the pair mapping is a SimConfig usage
+  // error, in simulate and in sweep alike.
+  for (const char* command : {"simulate", "sweep"}) {
+    const CliRun odd_pairs =
+        cli({command, trace_path, "--procs", "3", "--mapping", "pairs"});
+    EXPECT_EQ(odd_pairs.code, 2) << command;
+    EXPECT_NE(odd_pairs.err.find("usage error: SimConfig: match_processors"),
+              std::string::npos)
+        << command << ": " << odd_pairs.err;
+  }
   std::remove(trace_path.c_str());
 }
 

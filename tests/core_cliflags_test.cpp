@@ -96,8 +96,8 @@ class CliFlags : public ::testing::Test {
 
   /// Flags `flag` is only valid beside.
   static std::vector<std::string> companions(const CliFlag& flag) {
-    if (flag.name == "--profile" || flag.name == "--match-batch" ||
-        flag.name == "--match-mailbox") {
+    if (flag.name == "--profile" || flag.name == "--match-assign" ||
+        flag.name == "--match-batch" || flag.name == "--match-mailbox") {
       // These configure the parallel engine, so each is a usage error
       // without --match-threads.
       return {"--match-threads", "2"};
@@ -335,11 +335,22 @@ TEST_F(CliFlags, RunMatchBatchFusesPhases) {
 }
 
 TEST_F(CliFlags, MatchBatchRequiresMatchThreads) {
-  for (const char* flag : {"--match-batch", "--match-mailbox"}) {
-    const CliRun r = cli({"run", *program_, flag, "4"});
-    EXPECT_EQ(r.code, 2) << flag << ": " << r.err;
-    EXPECT_NE(r.err.find("requires --match-threads"), std::string::npos)
-        << flag << ": " << r.err;
+  // Every flag that configures the parallel match engine is a usage
+  // error without --match-threads, never silently ignored.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--match-assign", "random"},
+      {"--match-batch", "4"},
+      {"--match-mailbox", "4"},
+      {"--profile"},
+  };
+  for (const std::vector<std::string>& flag : cases) {
+    std::vector<std::string> args = {"run", *program_};
+    args.insert(args.end(), flag.begin(), flag.end());
+    const CliRun r = cli(args);
+    EXPECT_EQ(r.code, 2) << flag[0] << ": " << r.err;
+    EXPECT_NE(r.err.find(flag[0] + " requires --match-threads"),
+              std::string::npos)
+        << flag[0] << ": " << r.err;
   }
 }
 

@@ -16,7 +16,7 @@ TEST(BucketCosts, MatchesCostModel) {
   const auto r = b.root_at(trace::Side::Right, NodeId{1}, 2, 0);
   b.child_at(r, NodeId{2}, 5, 0);
   const Trace t = b.take();
-  const auto costs = bucket_costs(t, 0, sim::CostModel{});
+  const auto costs = sim::bucket_costs(t, 0, sim::CostModel{});
   ASSERT_EQ(costs.size(), 8u);
   EXPECT_EQ(costs[2], 32000u);  // right 16 us + one successor 16 us
   EXPECT_EQ(costs[5], 32000u);  // left 32 us

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -120,57 +122,234 @@ TEST(Facade, ModelCheckerIsReachable) {
           .has_value());
 }
 
-TEST(Facade, BuilderRejectsZeroMailboxCapacity) {
-  // The Mailbox(0) silent-coercion bug is now a loud configuration error
-  // at every layer, starting with the public builder.
-  EXPECT_THROW(mpps::ParallelOptionsBuilder().mailbox_capacity(0),
-               mpps::UsageError);
+/// What `consume` throws: "UsageError: <message>", "other error:
+/// <message>", or "accepted" when it throws nothing.
+std::string outcome_of(const std::function<void()>& consume) {
+  try {
+    consume();
+  } catch (const mpps::UsageError& e) {
+    return std::string("UsageError: ") + e.what();
+  } catch (const std::exception& e) {
+    return std::string("other error: ") + e.what();
+  }
+  return "accepted";
 }
 
-TEST(Facade, EveryBuilderSetterRejectsInvalidInputNamingTheField) {
-  // The unified builder error contract: every setter validates in the
-  // setter itself, throws mpps::UsageError, and the message names the
-  // offending field — no builder defers validation to build() or coerces
-  // silently.  One table row per reject path.
-  struct RejectCase {
-    const char* field;                 // must appear in the message
-    std::function<void()> poke;       // invokes the setter with bad input
+TEST(Facade, EveryOptionRuleIsOneUsageErrorNamingTheField) {
+  // Every rule of the options structs' validate(), one row each.  Setters
+  // only store, so a row fills the same bad struct directly and through
+  // its builder, hands each to the struct's consumer, and expects one
+  // mpps::UsageError message naming the field.  Rows whose field the
+  // builder has no setter for (schedule) fill the struct directly only.
+  const mpps::Program program = mpps::parse_program(kProgram);
+  const mpps::Network net = mpps::Network::compile(program);
+  const mpps::Trace trace =
+      mpps::record_trace_from_source(kProgram, "rules").trace;
+  const auto simulate = [&](const mpps::SimConfig& config) {
+    mpps::simulate(trace, config,
+                   mpps::Assignment::round_robin(trace.num_buckets, 1));
   };
-  const std::vector<RejectCase> cases = {
+  const auto interpret = [&](const mpps::EngineOptions& engine,
+                             mpps::MatchEngineFactory factory) {
+    mpps::InterpreterOptions options;
+    options.engine = engine;
+    options.engine_factory = std::move(factory);
+    mpps::Interpreter interp(program, options);
+    interp.load_initial_wmes();
+    interp.run();
+  };
+  const auto match = [&](const mpps::ParallelOptions& options) {
+    mpps::ParallelEngine engine(net, options);
+  };
+  const mpps::Program served = mpps::parse_program(
+      "(p assign (job ^id <i>) (worker ^id <i>) --> (remove 1))");
+  const auto serve = [&](const mpps::ServeOptions& options) {
+    mpps::ServeEngine engine(served, options);
+  };
+  // Never consulted: validate() rejects every row before a phase runs.
+  struct NoControl final : mpps::pmatch::ScheduleControl {
+    void order_round(std::uint32_t, std::uint32_t,
+                     std::span<const mpps::pmatch::ScheduledOp>,
+                     std::vector<std::uint32_t>&) override {}
+    void order_merge(std::uint32_t,
+                     std::span<const mpps::pmatch::ScheduledOp>,
+                     std::vector<std::uint32_t>&) override {}
+  };
+  NoControl control;
+  mpps::Profiler profiler;
+  const mpps::Assignment three_procs = mpps::Assignment::round_robin(8, 3);
+  const mpps::Assignment no_buckets = mpps::Assignment::fixed({}, 2);
+
+  struct Rule {
+    const char* field;           // must appear in the message
+    std::function<void()> direct;
+    std::function<void()> built;  // empty: the builder has no setter
+  };
+  const std::vector<Rule> rules = {
       {"match_processors",
-       [] { mpps::SimConfigBuilder().match_processors(0); }},
-      {"run", [] { mpps::SimConfigBuilder().run(-1); }},
-      {"run", [] { mpps::SimConfigBuilder().run(5); }},
-      {"num_buckets", [] { mpps::EngineOptionsBuilder().num_buckets(0); }},
-      {"threads", [] { mpps::ParallelOptionsBuilder().threads(0); }},
-      {"num_buckets",
-       [] { mpps::ParallelOptionsBuilder().num_buckets(0); }},
+       [&] {
+         mpps::SimConfig c;
+         c.match_processors = 0;
+         simulate(c);
+       },
+       [&] { simulate(mpps::SimConfigBuilder().match_processors(0).build()); }},
+      {"match_processors",
+       [&] {
+         mpps::SimConfig c;
+         c.match_processors = 1;
+         c.mapping = mpps::MappingMode::ProcessorPairs;
+         simulate(c);
+       },
+       [&] {
+         simulate(mpps::SimConfigBuilder()
+                      .match_processors(1)
+                      .pairs_mapping()
+                      .build());
+       }},
+      {"match_processors",
+       [&] {
+         mpps::SimConfig c;
+         c.match_processors = 3;
+         c.mapping = mpps::MappingMode::ProcessorPairs;
+         simulate(c);
+       },
+       [&] {
+         simulate(mpps::SimConfigBuilder()
+                      .match_processors(3)
+                      .pairs_mapping()
+                      .build());
+       }},
+      {"threads",
+       [&] {
+         mpps::ParallelOptions o;
+         o.threads = 0;
+         match(o);
+       },
+       [&] { match(mpps::ParallelOptionsBuilder().threads(0).build()); }},
       {"mailbox_capacity",
-       [] { mpps::ParallelOptionsBuilder().mailbox_capacity(0); }},
-      {"threads", [] { mpps::ServeOptionsBuilder().threads(0); }},
-      {"num_buckets", [] { mpps::ServeOptionsBuilder().num_buckets(0); }},
-      {"mailbox_capacity",
-       [] { mpps::ServeOptionsBuilder().mailbox_capacity(0); }},
+       [&] {
+         mpps::ParallelOptions o;
+         o.mailbox_capacity = 0;
+         match(o);
+       },
+       [&] {
+         match(mpps::ParallelOptionsBuilder().mailbox_capacity(0).build());
+       }},
+      {"schedule",
+       [&] {
+         mpps::ParallelOptions o;
+         o.schedule = &control;
+         o.profiler = &profiler;
+         match(o);
+       },
+       nullptr},
+      {"assignment",
+       [&] {
+         mpps::ParallelOptions o;
+         o.threads = 2;
+         o.assignment = three_procs;
+         match(o);
+       },
+       [&] {
+         match(mpps::ParallelOptionsBuilder()
+                   .threads(2)
+                   .assignment(three_procs)
+                   .build());
+       }},
+      {"assignment",
+       [&] {
+         mpps::ParallelOptions o;
+         o.threads = 2;
+         o.assignment = no_buckets;
+         match(o);
+       },
+       [&] {
+         match(mpps::ParallelOptionsBuilder()
+                   .threads(2)
+                   .assignment(no_buckets)
+                   .build());
+       }},
       {"admission_batch",
-       [] { mpps::ServeOptionsBuilder().admission_batch(0); }},
+       [&] {
+         mpps::ServeOptions o;
+         o.admission_batch = 0;
+         serve(o);
+       },
+       [&] { serve(mpps::ServeOptionsBuilder().admission_batch(0).build()); }},
       {"queue_capacity",
-       [] { mpps::ServeOptionsBuilder().queue_capacity(0); }},
+       [&] {
+         mpps::ServeOptions o;
+         o.queue_capacity = 0;
+         serve(o);
+       },
+       [&] { serve(mpps::ServeOptionsBuilder().queue_capacity(0).build()); }},
       {"max_sessions",
-       [] { mpps::ServeOptionsBuilder().max_sessions(0); }},
-      {"latency_bounds_us",
-       [] { mpps::ServeOptionsBuilder().latency_bounds_us({}); }},
-      {"latency_bounds_us",
-       [] { mpps::ServeOptionsBuilder().latency_bounds_us({4, 2, 8}); }},
+       [&] {
+         mpps::ServeOptions o;
+         o.max_sessions = 0;
+         serve(o);
+       },
+       [&] { serve(mpps::ServeOptionsBuilder().max_sessions(0).build()); }},
+      {"match.schedule",
+       [&] {
+         mpps::ServeOptions o;
+         o.match.schedule = &control;
+         serve(o);
+       },
+       nullptr},
+      {"threads",
+       [&] {
+         mpps::ServeOptions o;
+         o.match.threads = 0;
+         serve(o);
+       },
+       [&] { serve(mpps::ServeOptionsBuilder().threads(0).build()); }},
+      {"num_buckets",
+       [&] {
+         mpps::EngineOptions o;
+         o.num_buckets = 0;
+         interpret(o, mpps::parallel_engine_factory({}));
+       },
+       [&] {
+         interpret(mpps::EngineOptionsBuilder().num_buckets(0).build(),
+                   mpps::parallel_engine_factory({}));
+       }},
+      {"num_buckets",
+       [&] {
+         mpps::EngineOptions o;
+         o.num_buckets = 0;
+         interpret(o, nullptr);
+       },
+       [&] {
+         interpret(mpps::EngineOptionsBuilder().num_buckets(0).build(),
+                   nullptr);
+       }},
   };
-  for (const RejectCase& c : cases) {
-    try {
-      c.poke();
-      ADD_FAILURE() << c.field << ": invalid input was accepted";
-    } catch (const mpps::UsageError& e) {
-      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
-          << "message does not name the field: " << e.what();
+  for (const Rule& rule : rules) {
+    const std::string direct = outcome_of(rule.direct);
+    EXPECT_EQ(direct.rfind("UsageError: ", 0), 0u)
+        << rule.field << ": " << direct;
+    EXPECT_NE(direct.find(rule.field), std::string::npos)
+        << rule.field << ": message does not name the field: " << direct;
+    if (rule.built) {
+      EXPECT_EQ(outcome_of(rule.built), direct) << rule.field;
     }
   }
+
+  // The paper-run index is the cost model's: the builder's run() takes
+  // its costs from CostModel::paper_run, which rejects the index at once.
+  for (const int run : {-1, 5}) {
+    const std::string outcome =
+        outcome_of([run] { mpps::SimConfigBuilder().run(run); });
+    EXPECT_EQ(outcome.rfind("UsageError: ", 0), 0u) << outcome;
+    EXPECT_NE(outcome.find("run"), std::string::npos) << outcome;
+  }
+  // ParallelOptions::num_buckets 0 is not a bad value: it inherits the
+  // interpreter's bucket count, and an engine built directly gets 256.
+  EXPECT_EQ(mpps::ParallelEngine(
+                net, mpps::ParallelOptionsBuilder().num_buckets(0).build())
+                .num_buckets(),
+            256u);
   // The happy paths still configure what they say.
   EXPECT_EQ(mpps::ParallelOptionsBuilder().threads(3).build().threads, 3u);
   EXPECT_EQ(

@@ -275,7 +275,7 @@ TEST(BatchApi, ZeroMailboxCapacityRejected) {
   pmatch::ParallelOptions popts;
   popts.threads = 2;
   popts.mailbox_capacity = 0;
-  EXPECT_THROW(pmatch::ParallelEngine engine(net, popts), RuntimeError);
+  EXPECT_THROW(pmatch::ParallelEngine engine(net, popts), UsageError);
 }
 
 // --- Set-equality on a direct add+delete stream ----------------------------

@@ -20,6 +20,7 @@
 #include "src/pmatch/engine.hpp"
 #include "src/rete/interp.hpp"
 #include "src/trace/io.hpp"
+#include "src/trace/synth.hpp"
 #include "tests/pmatch_test_util.hpp"
 
 namespace mpps {
@@ -225,6 +226,22 @@ TEST(PmatchDeterminism, SerialAccessorThrowsOnParallelInterpreter) {
       ops5::parse_program(load_program("counter.ops")), options);
   EXPECT_THROW({ auto& e = interp.engine(); (void)e; }, RuntimeError);
   EXPECT_NO_THROW({ auto& m = interp.match_engine(); (void)m; });
+}
+
+TEST(PmatchDeterminism, GreedyStaticDealsLikeAssignmentGreedy) {
+  // On a one-cycle trace the whole-trace LPT map is the greedy policy's
+  // cycle-0 map, instantiation costs included: bucket 0's two
+  // instantiations make it the heaviest bucket.
+  trace::SectionBuilder b("lpt", 4);
+  b.begin_cycle(1);
+  b.add_instantiations(b.root_at(trace::Side::Right, NodeId{1}, 0, 0), 2);
+  b.root_at(trace::Side::Left, NodeId{2}, 1, 0);
+  b.root_at(trace::Side::Left, NodeId{2}, 2, 1);
+  b.root_at(trace::Side::Right, NodeId{1}, 3, 1);
+  const trace::Trace t = b.take();
+  const sim::CostModel costs;
+  EXPECT_EQ(pmatch::greedy_static(t, 2, costs).map_for(0),
+            sim::Assignment::greedy(t, 2, costs).map_for(0));
 }
 
 TEST(PmatchDeterminism, GreedyStaticBalancesLoad) {

@@ -190,7 +190,7 @@ TEST(PmatchSchedule, ProfilerPlusScheduleThrowsAtConstruction) {
   popts.threads = 2;
   popts.schedule = &control;
   popts.profiler = &profiler;
-  EXPECT_THROW(pmatch::ParallelEngine engine(net, popts), RuntimeError);
+  EXPECT_THROW(pmatch::ParallelEngine engine(net, popts), UsageError);
 }
 
 TEST(PmatchSchedule, FailedPhasePoisonsTheEngine) {

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/core/distribution.hpp"
 #include "src/sim/costs.hpp"
 #include "src/trace/record.hpp"
 #include "src/trace/synth.hpp"
@@ -56,8 +55,7 @@ constexpr std::uint32_t kProcChoices[] = {1, 2, 3, 4, 8, 16};
 std::uint64_t cycle_makespan(const Trace& trace, std::size_t cycle,
                              const Assignment& assignment,
                              const CostModel& costs) {
-  const std::vector<std::uint64_t> weight =
-      core::bucket_costs(trace, cycle, costs);
+  const std::vector<std::uint64_t> weight = bucket_costs(trace, cycle, costs);
   std::vector<std::uint64_t> load(assignment.num_procs(), 0);
   for (std::uint32_t b = 0; b < trace.num_buckets; ++b) {
     load[assignment.proc_of(cycle, b)] += weight[b];

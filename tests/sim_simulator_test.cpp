@@ -74,6 +74,32 @@ TEST(Simulator, LocalBucketExchangesNoMessage) {
   EXPECT_EQ(result.local_deliveries, 1u);
 }
 
+TEST(CostModel, PaperRunOwnsTheRunIndex) {
+  // Run 0 is Figure 5-1's zero-overhead model; 1..4 are Table 5-1's runs;
+  // anything else is a usage error naming `run`.
+  const CostModel zero = CostModel::paper_run(0);
+  const CostModel expected = CostModel::zero_overhead();
+  EXPECT_EQ(zero.constant_tests, expected.constant_tests);
+  EXPECT_EQ(zero.left_token, expected.left_token);
+  EXPECT_EQ(zero.right_token, expected.right_token);
+  EXPECT_EQ(zero.per_successor, expected.per_successor);
+  EXPECT_EQ(zero.wire_latency, expected.wire_latency);
+  EXPECT_EQ(zero.send_overhead, expected.send_overhead);
+  EXPECT_EQ(zero.recv_overhead, expected.recv_overhead);
+  EXPECT_EQ(zero.hardware_broadcast, expected.hardware_broadcast);
+  EXPECT_EQ(zero.resolve_cost, expected.resolve_cost);
+  EXPECT_EQ(CostModel::paper_run(4).send_overhead, SimTime::us(20));
+  for (const int run : {5, -1}) {
+    try {
+      (void)CostModel::paper_run(run);
+      ADD_FAILURE() << "run " << run << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("run"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Simulator, OverheadNeverSpeedsThingsUp) {
   const Trace t = trace::make_weaver_section(64, 5);
   for (std::uint32_t procs : {2u, 8u, 32u}) {
