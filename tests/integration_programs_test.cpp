@@ -3,6 +3,7 @@
 // reach their documented outcomes.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -325,6 +326,76 @@ TEST(IntegrationPrograms, MeaAndLexAgreeOnDeterministicPlans) {
     auto interp = run_program("monkey_bananas.ops", options);
     EXPECT_TRUE(interp.halted());
     EXPECT_EQ(interp.firings().size(), 7u);
+  }
+}
+
+// ---- recorded traces are pinned ------------------------------------------
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// `mpps trace <program> --buckets <buckets>`'s output, run from the
+/// programs directory in a fresh process: a symbol's hash follows its
+/// intern order, so a trace recorded after other tests interned symbols
+/// could put tokens in other buckets.
+std::string cli_trace(const std::string& program, std::uint32_t buckets) {
+  const std::string command = std::string("cd '") + MPPS_PROGRAMS_DIR +
+                              "' && '" + MPPS_CLI_BIN + "' trace " + program +
+                              " --buckets " + std::to_string(buckets);
+  FILE* pipe = ::popen(command.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  if (pipe == nullptr) return {};
+  std::string out;
+  char chunk[4096];
+  std::size_t n = 0;
+  while ((n = ::fread(chunk, 1, sizeof(chunk), pipe)) > 0) {
+    out.append(chunk, n);
+  }
+  EXPECT_EQ(::pclose(pipe), 0) << command;
+  return out;
+}
+
+// The serial engine's trace of every bundled program, at the default 256
+// buckets and at 1 bucket (every token of a node in one cell), pinned by
+// byte length and FNV-1a digest.  A trace lists every activation in
+// order with its bucket and successor counts, so a change to the hashed
+// memories' probe order or to the activation queue's order shows here.
+TEST(IntegrationPrograms, RecordedTracesArePinned) {
+  struct Pin {
+    const char* program;
+    std::uint32_t buckets;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"bench_chain.ops", 256, 128049, 0xAA27ECE3C14E0739ull},
+      {"bench_chain.ops", 1, 122439, 0xAE29695A259A2755ull},
+      {"bench_fanout.ops", 256, 109678, 0x3F4E97090AA97519ull},
+      {"bench_fanout.ops", 1, 105356, 0x803B5299856B4CC7ull},
+      {"blocks.ops", 256, 3417, 0x033F2BF474C2667Cull},
+      {"blocks.ops", 1, 3251, 0x0C051DA6BCEEB88Aull},
+      {"counter.ops", 256, 367, 0xD120378B07EB9759ull},
+      {"counter.ops", 1, 365, 0x0AE03BC8E3DADAB7ull},
+      {"cube.ops", 256, 90510, 0xB42DF05ADE95EF11ull},
+      {"cube.ops", 1, 85940, 0x3B1D9B2EC8C8AC39ull},
+      {"monkey_bananas.ops", 256, 4379, 0x136AE3B72C7E113Aull},
+      {"monkey_bananas.ops", 1, 4169, 0x6E347FF285823ACAull},
+      {"pairings.ops", 256, 5997, 0xE1E19EB14D2EC652ull},
+      {"pairings.ops", 1, 5729, 0xA734D2F92774DBBCull},
+      {"tictactoe.ops", 256, 345985, 0xA15B23CDCDE54826ull},
+      {"tictactoe.ops", 1, 330631, 0xB47DE76FD4B1CF4Cull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.program) + " at " +
+                 std::to_string(pin.buckets) + " buckets");
+    const std::string text = cli_trace(pin.program, pin.buckets);
+    EXPECT_EQ(text.size(), pin.bytes);
+    EXPECT_EQ(fnv1a64(text), pin.digest);
   }
 }
 
