@@ -70,12 +70,14 @@ BENCHMARK(BM_EngineLinearMemories)->Arg(256)->Arg(2048);
 void BM_HashedMemoryInsertErase(benchmark::State& state) {
   rete::HashedMemory memory(256);
   std::vector<ops5::Value> key{ops5::Value(7L)};
+  const std::uint32_t bucket = memory.bucket_of(NodeId{3}, key);
   std::uint64_t i = 0;
   for (auto _ : state) {
-    rete::Token t{{WmeId{i}, WmeId{i + 1}}};
-    memory.insert(NodeId{3}, t, key);
-    benchmark::DoNotOptimize(memory.find(NodeId{3}, key));
-    memory.erase(NodeId{3}, t, key);
+    const WmeId t[] = {WmeId{i}, WmeId{i + 1}};
+    memory.insert(NodeId{3}, bucket, t, key);
+    benchmark::DoNotOptimize(memory.probe(
+        NodeId{3}, bucket, key, [](std::span<const WmeId>, int&) {}));
+    memory.erase(NodeId{3}, bucket, t);
     ++i;
   }
 }

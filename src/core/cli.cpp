@@ -325,7 +325,14 @@ std::string usage_text() {
       } else {
         os << "\n" << std::string(column - 1, ' ');
       }
-      os << " " << flag.help << "\n";
+      // Help lines after the first start at the help column too.
+      std::istringstream help(flag.help);
+      std::string line;
+      std::getline(help, line);
+      os << " " << line << "\n";
+      while (std::getline(help, line)) {
+        os << std::string(column, ' ') << line << "\n";
+      }
     }
     os << "\n";
   }

@@ -406,7 +406,7 @@ void ParallelEngine::seed_root(const ops5::Wme& wme, const Token& root,
                                std::vector<rete::Value>& key) {
   const BetaNode& dest = net_.beta(succ.beta);
   if (succ.side == Side::Left) {
-    workers_.front()->join.left_key(dest, root, key);
+    workers_.front()->join.left_key(dest, root.wmes, key);
   } else {
     rete::JoinKernel::right_key(dest, wme, key);
   }
@@ -432,7 +432,7 @@ struct ParallelEngine::WorkerSink {
   Worker& w;
   std::uint64_t parent;  // the activation's provisional id
 
-  void successor(NodeId node, const Token& token, Tag tag) {
+  void successor(NodeId node, std::span<const WmeId> token, Tag tag) {
     WorkItem child = take_item(w);
     child.parent = parent;
     child.seq = w.emit_seq++;
@@ -440,13 +440,16 @@ struct ParallelEngine::WorkerSink {
     child.node = node;
     child.side = Side::Left;
     child.tag = tag;
-    child.token = token;  // copy-assign reuses the recycled capacity
+    // assign reuses the recycled item's capacity
+    child.token.wmes.assign(token.begin(), token.end());
     w.join.left_key(engine.net_.beta(node), token, child.key);
     child.bucket = rete::bucket_index(node, child.key, engine.num_buckets_);
     engine.route(w, std::move(child));
   }
-  void instantiation(ProductionId pid, const Token& token, Tag tag) {
-    w.deltas.push_back(ConflictDelta{pid, token, tag, w.round});
+  void instantiation(ProductionId pid, std::span<const WmeId> token,
+                     Tag tag) {
+    w.deltas.push_back(
+        ConflictDelta{pid, Token{{token.begin(), token.end()}}, tag, w.round});
   }
 };
 
@@ -468,8 +471,10 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
   const BetaNode& node = net_.beta(item.node);
   const rete::JoinEmitted emitted =
       item.side == Side::Left
-          ? w.join.left_activation(node, item.tag, item.token, item.key, sink)
-          : w.join.right_activation(node, item.tag, item.wme, item.key, sink);
+          ? w.join.left_activation(node, item.tag, item.token.wmes, item.key,
+                                   item.bucket, sink)
+          : w.join.right_activation(node, item.tag, item.wme, item.key,
+                                    item.bucket, sink);
   pr.rec.successors = emitted.successors;
   pr.rec.instantiations = emitted.instantiations;
   w.records.push_back(std::move(pr));
@@ -575,7 +580,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
     for (const AlphaNode& alpha : net_.alphas()) {
       if (!alpha.matches(change.wme)) continue;
       for (ProductionId pid : alpha.direct_productions) {
-        rete::update_conflict_set(conflict_, pid, root, tag);
+        rete::update_conflict_set(conflict_, pid, root.wmes, tag);
       }
       for (const AlphaSuccessor& succ : alpha.successors) {
         seed_root(change.wme, root, succ, tag, key);
@@ -653,6 +658,13 @@ void ParallelEngine::merge_phase() {
   remap_.clear();
   std::vector<std::size_t> rec_cursor(threads_, 0);
   std::vector<std::size_t> delta_cursor(threads_, 0);
+  if (listener_ == nullptr) {
+    // No one sees the records: only the ids they would take advance.
+    for (std::uint32_t i = 0; i < threads_; ++i) {
+      rec_cursor[i] = workers_[i]->records.size();
+      next_activation_ += rec_cursor[i];
+    }
+  }
   std::vector<const ConflictDelta*> group;
   std::vector<ScheduledOp> ops;
   std::vector<std::uint32_t> order;
@@ -700,7 +712,7 @@ void ParallelEngine::merge_phase() {
       reorder_by(group, order);
     }
     for (const ConflictDelta* d : group) {
-      rete::update_conflict_set(conflict_, d->pid, d->token, d->tag);
+      rete::update_conflict_set(conflict_, d->pid, d->token.wmes, d->tag);
     }
   }
 }

@@ -4,6 +4,22 @@
 
 namespace mpps::rete {
 
+namespace {
+
+std::size_t hash_of(ProductionId production, std::span<const WmeId> token) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ production.value();
+  for (WmeId w : token) {
+    h ^= w.value() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  }
+  // Final avalanche: the chains are picked by the low bits.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
+
+}  // namespace
+
 ConflictSet::ConflictSet(std::function<std::size_t(ProductionId)> specificity_of)
     : specificity_of_(std::move(specificity_of)) {}
 
@@ -12,21 +28,63 @@ void ConflictSet::add(Instantiation inst) {
   e.recency = inst.token.wmes;
   std::sort(e.recency.begin(), e.recency.end(), std::greater<>());
   e.specificity = specificity_of_(inst.production);
+  e.hash = hash_of(inst.production, inst.token.wmes);
+  e.added = adds_++;
   e.inst = std::move(inst);
   entries_.push_back(std::move(e));
+  if (entries_.size() > heads_.size()) {
+    heads_.assign(std::max<std::size_t>(16, 2 * heads_.size()), kNone);
+    for (std::uint32_t i = 0; i < entries_.size(); ++i) link(i);
+  } else {
+    link(static_cast<std::uint32_t>(entries_.size() - 1));
+  }
   if (delta_hook_) delta_hook_(entries_.back().inst, true);
 }
 
-bool ConflictSet::remove(ProductionId production, const Token& token) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->inst.production == production && it->inst.token == token) {
-      const Entry removed = std::move(*it);
-      entries_.erase(it);
-      if (delta_hook_) delta_hook_(removed.inst, false);
-      return true;
+bool ConflictSet::remove(ProductionId production,
+                         std::span<const WmeId> token) {
+  const std::uint32_t i = lookup(production, token);
+  if (i == kNone) return false;
+  unlink(i);
+  const Entry removed = std::move(entries_[i]);
+  const auto last = static_cast<std::uint32_t>(entries_.size() - 1);
+  if (i != last) {
+    unlink(last);
+    entries_[i] = std::move(entries_[last]);
+    link(i);
+  }
+  entries_.pop_back();
+  if (delta_hook_) delta_hook_(removed.inst, false);
+  return true;
+}
+
+std::uint32_t ConflictSet::lookup(ProductionId production,
+                                  std::span<const WmeId> token) const {
+  if (heads_.empty()) return kNone;
+  const std::size_t h = hash_of(production, token);
+  std::uint32_t best = kNone;
+  for (std::uint32_t i = heads_[h & (heads_.size() - 1)]; i != kNone;
+       i = entries_[i].next) {
+    const Entry& e = entries_[i];
+    if (e.hash == h && e.inst.production == production &&
+        std::ranges::equal(e.inst.token.wmes, token) &&
+        (best == kNone || e.added < entries_[best].added)) {
+      best = i;
     }
   }
-  return false;
+  return best;
+}
+
+void ConflictSet::link(std::uint32_t i) {
+  std::uint32_t& head = heads_[entries_[i].hash & (heads_.size() - 1)];
+  entries_[i].next = head;
+  head = i;
+}
+
+void ConflictSet::unlink(std::uint32_t i) {
+  std::uint32_t* at = &heads_[entries_[i].hash & (heads_.size() - 1)];
+  while (*at != i) at = &entries_[*at].next;
+  *at = entries_[i].next;
 }
 
 bool ConflictSet::dominates(const Entry& a, const Entry& b, Strategy strategy) {
@@ -68,12 +126,8 @@ std::optional<Instantiation> ConflictSet::select(Strategy strategy) const {
 }
 
 void ConflictSet::mark_fired(const Instantiation& inst) {
-  for (auto& e : entries_) {
-    if (e.inst == inst) {
-      e.fired = true;
-      return;
-    }
-  }
+  const std::uint32_t i = lookup(inst.production, inst.token.wmes);
+  if (i != kNone) entries_[i].fired = true;
 }
 
 std::vector<Instantiation> ConflictSet::all() const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -158,18 +157,22 @@ class Engine final : public MatchEngine {
   }
 
  private:
+  /// One queued activation.  Its token (a right activation's is its
+  /// wme) is the `size` wmes at `begin` in `queue_wmes_`.
   struct Pending {
     ActivationId parent;
     NodeId node;
     Side side;
     Tag tag;
-    Token token;  // left activations; right activations use `wme`
-    WmeId wme;    // right activations
+    std::size_t begin = 0;
+    std::size_t size = 0;
   };
   /// The join kernel's sink: children join the FIFO queue, instantiations
   /// update the conflict set.
   struct QueueSink;
 
+  void enqueue(ActivationId parent, NodeId node, Side side, Tag tag,
+               std::span<const WmeId> token);
   /// Runs one queued activation through the join kernel.
   void activate(const Pending& p);
 
@@ -179,8 +182,12 @@ class Engine final : public MatchEngine {
   WmeTable wmes_;
   JoinKernel join_;
   ConflictSet conflict_;
-  std::deque<Pending> queue_;
-  std::vector<Value> key_;  // the current activation's equality key
+  // One change's FIFO of activations, its tokens back to back in one
+  // buffer; both are cleared per change and keep their capacity.
+  std::vector<Pending> queue_;
+  std::vector<WmeId> queue_wmes_;
+  std::vector<WmeId> token_;  // the current activation's token
+  std::vector<Value> key_;    // the current activation's equality key
   std::uint64_t next_activation_ = 1;
   StatsMirror mirror_;
 };

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/ids.hpp"
@@ -22,16 +21,6 @@ struct Token {
   std::vector<WmeId> wmes;  // one id per positive CE matched, in CE order
 
   friend bool operator==(const Token& a, const Token& b) = default;
-};
-
-struct TokenHash {
-  std::size_t operator()(const Token& t) const noexcept {
-    std::size_t h = 0x9E3779B97F4A7C15ull;
-    for (WmeId w : t.wmes) {
-      h ^= std::hash<WmeId>{}(w) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
 };
 
 }  // namespace mpps::rete

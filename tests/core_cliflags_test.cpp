@@ -244,6 +244,19 @@ TEST_F(CliFlags, EveryDocumentedFlagAppearsInUsage) {
   }
 }
 
+// Every line of the command list is indented, including the second and
+// later lines of a flag's help.
+TEST_F(CliFlags, UsageCommandLinesAreAllIndented) {
+  const std::string usage = cli_usage();
+  const std::size_t begin = usage.find("commands:\n");
+  ASSERT_NE(begin, std::string::npos);
+  std::istringstream lines(usage.substr(begin + 10));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("`--trace-out`")) break;  // the trailer
+    EXPECT_TRUE(line.empty() || line.starts_with("  ")) << "'" << line << "'";
+  }
+}
+
 TEST_F(CliFlags, UnknownFlagIsUsageErrorOnEveryCommand) {
   for (const CliCommand& cmd : cli_commands()) {
     std::vector<std::string> args = base_invocation(cmd);

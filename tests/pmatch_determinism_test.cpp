@@ -109,6 +109,53 @@ TEST(PmatchDeterminism, OneThreadStatsAndFiringsEqualSerial) {
   }
 }
 
+/// Every activation record, flattened for comparison.
+struct RecordLog : rete::ActivationListener {
+  std::vector<std::vector<std::uint64_t>> records;
+  void on_activation(const rete::ActivationRecord& r) override {
+    records.push_back({r.id.value(), r.parent.value(), r.node.value(),
+                       static_cast<std::uint64_t>(r.side),
+                       static_cast<std::uint64_t>(r.tag), r.bucket,
+                       r.successors, r.instantiations});
+  }
+};
+
+// Without a listener the merge skips the activation records, but the ids
+// they would have taken still advance: a listener attached after some
+// phases sees the ids and parents of one attached from the first phase.
+TEST(PmatchDeterminism, LateListenerSeesTheSameActivationIds) {
+  for (std::uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    rete::InterpreterOptions options;
+    options.engine_factory =
+        pmatch::parallel_engine_factory(threaded(threads));
+    const ops5::Program program =
+        ops5::parse_program(load_program("pairings.ops"));
+    rete::Interpreter early(program, options);
+    rete::Interpreter late(program, options);
+    RecordLog early_log;
+    RecordLog late_log;
+    early.match_engine().set_listener(&early_log);
+    early.load_initial_wmes();
+    late.load_initial_wmes();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(early.step());
+      ASSERT_TRUE(late.step());
+    }
+    const std::size_t seen_early = early_log.records.size();
+    ASSERT_GT(seen_early, 0u);
+    late.match_engine().set_listener(&late_log);
+    early.run();
+    late.run();
+    ASSERT_GT(late_log.records.size(), 0u);
+    EXPECT_EQ(late_log.records,
+              std::vector<std::vector<std::uint64_t>>(
+                  early_log.records.begin() +
+                      static_cast<std::ptrdiff_t>(seen_early),
+                  early_log.records.end()));
+  }
+}
+
 TEST(PmatchDeterminism, ParallelTracesValidate) {
   for (std::uint32_t threads : {2u, 4u, 8u}) {
     SCOPED_TRACE(threads);

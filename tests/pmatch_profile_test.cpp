@@ -1,8 +1,9 @@
 // The profiler's engine integration and the zero-overhead guard:
 // profiling must never change match results (conflict sets and firings
 // byte-identical to an uninstrumented run), the disabled path must stay a
-// single pointer test (asserted structurally and with a loose A/B timing
-// check), the attribution must explain >= 95% of every worker's wall
+// single pointer test (asserted structurally here, and with a loose A/B
+// timing check in pmatch_profile_ab_test.cpp, which runs alone), the
+// attribution must explain >= 95% of every worker's wall
 // time on the committed bench workloads (the PR's acceptance number,
 // checked end to end through `mpps run --profile --json`), and the
 // measured Chrome-trace lanes must ride the --trace-out plumbing.
@@ -10,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -32,6 +32,8 @@ namespace {
 using pmatch_test::FlatConflictSet;
 using pmatch_test::flatten;
 using pmatch_test::load_program;
+using pmatch_test::run_workload;
+using pmatch_test::RunOutcome;
 
 // The null-sink contract: profiling rides a plain nullable pointer in the
 // options (one pointer test per recording site), not a polymorphic sink.
@@ -40,34 +42,6 @@ static_assert(std::is_same_v<decltype(pmatch::ParallelOptions::profiler),
 
 TEST(ProfilerOptions, ProfilingIsOffByDefault) {
   EXPECT_EQ(pmatch::ParallelOptions{}.profiler, nullptr);
-}
-
-struct RunOutcome {
-  rete::RunResult result;
-  std::vector<std::string> firings;
-  FlatConflictSet conflict;
-  double wall_ms = 0.0;
-};
-
-RunOutcome run_workload(const std::string& source, std::uint32_t threads,
-                        obs::Profiler* profiler) {
-  rete::InterpreterOptions options;
-  options.max_cycles = 2000;
-  pmatch::ParallelOptions popts;
-  popts.threads = threads;
-  popts.profiler = profiler;
-  options.engine_factory = pmatch::parallel_engine_factory(popts);
-  rete::Interpreter interp(ops5::parse_program(source), options);
-  interp.load_initial_wmes();
-  const auto start = std::chrono::steady_clock::now();
-  RunOutcome out;
-  out.result = interp.run();
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  for (const auto& f : interp.firings()) out.firings.push_back(f.production);
-  out.conflict = flatten(interp.match_engine().conflict_set());
-  return out;
 }
 
 class ProfiledWorkload : public ::testing::TestWithParam<const char*> {};
@@ -105,37 +79,6 @@ TEST_P(ProfiledWorkload, AttributesAtLeast95PercentOfWorkerWall) {
       EXPECT_GT(w.wall_ns, 0u);
     }
   }
-}
-
-TEST_P(ProfiledWorkload, DisabledPathIsNotSlowerThanProfiled) {
-  // A/B guard, deliberately loose for noisy CI hosts: the uninstrumented
-  // run does strictly less work than the profiled one (no clock reads, no
-  // span appends), so its median wall time must not exceed the profiled
-  // median by more than generous jitter slack.  A real hot-path cost on
-  // the disabled branch (e.g. an unconditional clock read) shows up as a
-  // consistent violation, not jitter.  One untimed run warms caches and
-  // the allocator, then the two sides alternate, so a slow stretch of the
-  // host (the first runs after a build, say) lands on both of them.
-  const std::string source = load_program(GetParam());
-  ASSERT_FALSE(source.empty());
-  run_workload(source, 2, nullptr);
-  std::vector<double> walls[2];  // [0] disabled, [1] profiled
-  for (int i = 0; i < 5; ++i) {
-    for (const bool with_profiler : {false, true}) {
-      obs::Profiler profiler;
-      walls[with_profiler].push_back(
-          run_workload(source, 2, with_profiler ? &profiler : nullptr)
-              .wall_ms);
-    }
-  }
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double disabled = median(walls[0]);
-  const double profiled = median(walls[1]);
-  EXPECT_LE(disabled, profiled * 1.5 + 10.0)
-      << "disabled " << disabled << " ms vs profiled " << profiled << " ms";
 }
 
 INSTANTIATE_TEST_SUITE_P(BenchWorkloads, ProfiledWorkload,

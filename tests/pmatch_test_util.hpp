@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <random>
@@ -16,6 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/profiler.hpp"
+#include "src/ops5/parser.hpp"
+#include "src/pmatch/engine.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/interp.hpp"
 
@@ -84,6 +88,36 @@ inline std::string random_program(std::uint64_t seed) {
         << ")\n";
   }
   return src.str();
+}
+
+struct RunOutcome {
+  rete::RunResult result;
+  std::vector<std::string> firings;
+  FlatConflictSet conflict;
+  double wall_ms = 0.0;
+};
+
+/// Runs `source` to completion on a ParallelEngine of `threads` workers,
+/// with `profiler` attached when it is not null, and times the run.
+inline RunOutcome run_workload(const std::string& source, std::uint32_t threads,
+                        obs::Profiler* profiler) {
+  rete::InterpreterOptions options;
+  options.max_cycles = 2000;
+  pmatch::ParallelOptions popts;
+  popts.threads = threads;
+  popts.profiler = profiler;
+  options.engine_factory = pmatch::parallel_engine_factory(popts);
+  rete::Interpreter interp(ops5::parse_program(source), options);
+  interp.load_initial_wmes();
+  const auto start = std::chrono::steady_clock::now();
+  RunOutcome out;
+  out.result = interp.run();
+  out.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  for (const auto& f : interp.firings()) out.firings.push_back(f.production);
+  out.conflict = flatten(interp.match_engine().conflict_set());
+  return out;
 }
 
 }  // namespace mpps::pmatch_test
