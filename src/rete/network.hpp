@@ -117,7 +117,7 @@ struct CompileOptions {
   /// only ever join wmes carrying the same partition value.  Because the
   /// test is an equality, the value becomes part of every node's hash key
   /// — partitions shard across the bucket space like the paper's DHT
-  /// mapping, and `HashedMemory::find`'s exact key comparison keeps them
+  /// mapping, and `HashedMemory::probe`'s exact key comparison keeps them
   /// disjoint even when bucket indices collide.  The attribute is
   /// reserved: the serving layer stamps it on every wme it admits.
   Symbol partition_attr;

@@ -11,7 +11,7 @@
 // node's hash key, so sessions shard across the paper's hashed-memory
 // bucket space like tenants across a DHT — one session's tokens can
 // never join another session's wmes, even for rules over shared symbols
-// and even when bucket indices collide (`HashedMemory::find` compares
+// and even when bucket indices collide (`HashedMemory::probe` compares
 // full keys).  Clients talk to a bounded admission queue; a dispatcher
 // thread coalesces queued transactions from DIFFERENT sessions into one
 // fused BSP batch (`begin_batch`/`flush`), so concurrent tenants share
