@@ -4,12 +4,16 @@
 // bucket, which degenerates to a linear scan of each node's memory).
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/ops5/parser.hpp"
 #include "src/rete/engine.hpp"
+#include "src/rete/join.hpp"
 #include "src/rete/memory.hpp"
 #include "src/rete/network.hpp"
+#include "src/rete/wme_table.hpp"
 
 namespace {
 
@@ -18,26 +22,32 @@ using namespace mpps;
 const char* kJoinProgram = R"(
   (p pair (a ^v <x>) (b ^v <x>) --> (halt)))";
 
-void drive_engine(rete::Engine& engine, int n) {
+/// n `a` and n `b` adds, each `a` joining one `b`; parsed once, so the
+/// timed loops run the engine only.
+std::vector<ops5::WmeChange> pair_changes(int n) {
   ops5::WorkingMemory wm;
   for (int i = 0; i < n; ++i) {
     wm.add(ops5::parse_wme("(a ^v k" + std::to_string(i) + ")"));
     wm.add(ops5::parse_wme("(b ^v k" + std::to_string(i) + ")"));
   }
-  for (const auto& change : wm.drain_changes()) {
-    engine.process_change(change);
-  }
+  return wm.drain_changes();
+}
+
+void drive_engine(rete::Engine& engine,
+                  const std::vector<ops5::WmeChange>& changes) {
+  for (const auto& change : changes) engine.process_change(change);
 }
 
 void BM_EngineHashedMemories(benchmark::State& state) {
   const auto program = ops5::parse_program(kJoinProgram);
   const auto net = rete::Network::compile(program);
   const auto n = static_cast<int>(state.range(0));
+  const std::vector<ops5::WmeChange> changes = pair_changes(n);
   for (auto _ : state) {
     rete::EngineOptions opts;
     opts.num_buckets = 256;
     rete::Engine engine(net, opts);
-    drive_engine(engine, n);
+    drive_engine(engine, changes);
     benchmark::DoNotOptimize(engine.conflict_set().size());
     state.counters["entries_scanned"] = static_cast<double>(
         engine.left_memory().entries_scanned() +
@@ -53,11 +63,12 @@ void BM_EngineLinearMemories(benchmark::State& state) {
   const auto program = ops5::parse_program(kJoinProgram);
   const auto net = rete::Network::compile(program);
   const auto n = static_cast<int>(state.range(0));
+  const std::vector<ops5::WmeChange> changes = pair_changes(n);
   for (auto _ : state) {
     rete::EngineOptions opts;
     opts.num_buckets = 1;
     rete::Engine engine(net, opts);
-    drive_engine(engine, n);
+    drive_engine(engine, changes);
     benchmark::DoNotOptimize(engine.conflict_set().size());
     state.counters["entries_scanned"] = static_cast<double>(
         engine.left_memory().entries_scanned() +
@@ -76,12 +87,65 @@ void BM_HashedMemoryInsertErase(benchmark::State& state) {
     const WmeId t[] = {WmeId{i}, WmeId{i + 1}};
     memory.insert(NodeId{3}, bucket, t, key);
     benchmark::DoNotOptimize(memory.probe(
-        NodeId{3}, bucket, key, [](std::span<const WmeId>, int&) {}));
+        NodeId{3}, bucket, key,
+        [](std::span<const WmeId>, std::span<const ops5::Value>, int&) {}));
     memory.erase(NodeId{3}, bucket, t);
     ++i;
   }
 }
 BENCHMARK(BM_HashedMemoryInsertErase);
+
+/// Counts what a join emits and keeps nothing.
+struct CountingSink {
+  std::uint64_t emitted = 0;
+  void successor(NodeId, std::span<const WmeId>, rete::Tag) { ++emitted; }
+  void instantiation(ProductionId, std::span<const WmeId>, rete::Tag) {
+    ++emitted;
+  }
+};
+
+void BM_JoinTwoNotEqualTestsOver256(benchmark::State& state) {
+  // The shape of Manners' seat-next-guest join: one equality test puts all
+  // 256 `b` wmes in one cell, and two <> tests decide each candidate.
+  // Each iteration is one left activation (alternately + and -) through
+  // the join kernel, so Time is ns per activation.
+  const auto net = rete::Network::compile(ops5::parse_program(
+      "(p pair (a ^k <k> ^x <x> ^y <y>) (b ^k <k> ^x <> <x> ^y <> <y>)"
+      " --> (halt))"));
+  const rete::BetaNode& node = net.betas().front();
+  rete::WmeTable wmes(net.slot_attrs());
+  rete::JoinKernel join(wmes, 256);
+  CountingSink sink;
+  std::vector<ops5::Value> operands;
+  ops5::WorkingMemory wm;
+  for (int i = 0; i < 256; ++i) {
+    const WmeId id = wm.add(ops5::parse_wme(
+        "(b ^k 1 ^x " + std::to_string(i % 4) + " ^y " +
+        std::to_string(i % 3) + ")"));
+    wmes.insert(*wm.find(id));
+    join.right_operands(node, id, operands);
+    join.right_activation(node, rete::Tag::Plus, id, operands,
+                          join.bucket_of(node, operands), sink);
+  }
+  const WmeId a = wm.add(ops5::parse_wme("(a ^k 1 ^x 0 ^y 0)"));
+  wmes.insert(*wm.find(a));
+  join.left_operands(node, std::span(&a, 1), operands);
+  const std::uint32_t bucket = join.bucket_of(node, operands);
+  rete::Tag tag = rete::Tag::Plus;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(join.left_activation(
+        node, tag, std::span(&a, 1), operands, bucket, sink));
+    tag = tag == rete::Tag::Plus ? rete::Tag::Minus : rete::Tag::Plus;
+  }
+  benchmark::DoNotOptimize(sink.emitted);
+  state.counters["time_per_activation"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["matches_per_activation"] = benchmark::Counter(
+      static_cast<double>(sink.emitted) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_JoinTwoNotEqualTestsOver256);
 
 void BM_NetworkCompile(benchmark::State& state) {
   // A production system with shared prefixes — compile cost matters for

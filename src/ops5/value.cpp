@@ -20,43 +20,6 @@ std::string_view to_string(Predicate p) {
   return "?";
 }
 
-bool Value::equals(const Value& o) const {
-  if (kind_ == Kind::Absent || o.kind_ == Kind::Absent) return false;
-  if (kind_ == Kind::Sym || o.kind_ == Kind::Sym) {
-    return kind_ == Kind::Sym && o.kind_ == Kind::Sym && sym_ == o.sym_;
-  }
-  if (kind_ == Kind::Int && o.kind_ == Kind::Int) return int_ == o.int_;
-  return as_double() == o.as_double();
-}
-
-bool Value::test(Predicate p, const Value& o) const {
-  switch (p) {
-    case Predicate::Eq: return equals(o);
-    case Predicate::Ne:
-      return kind_ != Kind::Absent && o.kind_ != Kind::Absent && !equals(o);
-    default: break;
-  }
-  if (!numeric() || !o.numeric()) return false;
-  if (kind_ == Kind::Int && o.kind_ == Kind::Int) {
-    switch (p) {
-      case Predicate::Lt: return int_ < o.int_;
-      case Predicate::Le: return int_ <= o.int_;
-      case Predicate::Gt: return int_ > o.int_;
-      case Predicate::Ge: return int_ >= o.int_;
-      default: return false;
-    }
-  }
-  const double a = as_double();
-  const double b = o.as_double();
-  switch (p) {
-    case Predicate::Lt: return a < b;
-    case Predicate::Le: return a <= b;
-    case Predicate::Gt: return a > b;
-    case Predicate::Ge: return a >= b;
-    default: return false;
-  }
-}
-
 std::size_t Value::hash() const {
   switch (kind_) {
     case Kind::Absent: return 0x5151'5151u;

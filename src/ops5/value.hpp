@@ -36,20 +36,44 @@ class Value {
   [[nodiscard]] constexpr bool numeric() const {
     return kind_ == Kind::Int || kind_ == Kind::Float;
   }
+  /// The symbol; the empty symbol unless kind() is Sym.
   [[nodiscard]] constexpr Symbol as_symbol() const { return sym_; }
-  [[nodiscard]] constexpr long as_int() const { return int_; }
+  /// The integer; 0 unless kind() is Int.
+  [[nodiscard]] constexpr long as_int() const {
+    return kind_ == Kind::Int ? int_ : 0;
+  }
+  /// The number as a double; 0.0 unless the value is numeric.
   [[nodiscard]] constexpr double as_double() const {
-    return kind_ == Kind::Int ? static_cast<double>(int_) : float_;
+    return kind_ == Kind::Int     ? static_cast<double>(int_)
+           : kind_ == Kind::Float ? float_
+                                  : 0.0;
   }
 
   /// OPS5 equality: symbols by identity, numbers by numeric value
   /// (int 2 == float 2.0).  Absent equals nothing, including absent.
-  [[nodiscard]] bool equals(const Value& o) const;
+  [[nodiscard]] bool equals(const Value& o) const {
+    if (kind_ == Kind::Int && o.kind_ == Kind::Int) return int_ == o.int_;
+    if (kind_ == Kind::Sym || o.kind_ == Kind::Sym) {
+      return kind_ == o.kind_ && sym_ == o.sym_;
+    }
+    return numeric() && o.numeric() && as_double() == o.as_double();
+  }
 
   /// Applies an OPS5 predicate.  Ordering predicates (< <= > >=) are only
   /// satisfiable between two numbers; on anything else they fail.
   /// `Ne` is true whenever both are present and `equals` is false.
-  [[nodiscard]] bool test(Predicate p, const Value& o) const;
+  [[nodiscard]] bool test(Predicate p, const Value& o) const {
+    switch (p) {
+      case Predicate::Eq: return equals(o);
+      case Predicate::Ne: return !absent() && !o.absent() && !equals(o);
+      default: break;
+    }
+    if (!numeric() || !o.numeric()) return false;
+    if (kind_ == Kind::Int && o.kind_ == Kind::Int) {
+      return compare(p, int_, o.int_);
+    }
+    return compare(p, as_double(), o.as_double());
+  }
 
   /// Hash consistent with `equals` (ints and equal-valued floats collide).
   [[nodiscard]] std::size_t hash() const;
@@ -59,10 +83,24 @@ class Value {
   friend bool operator==(const Value& a, const Value& b) { return a.equals(b); }
 
  private:
+  /// An ordering predicate (< <= > >=) applied to two numbers.
+  template <typename T>
+  static bool compare(Predicate p, T a, T b) {
+    switch (p) {
+      case Predicate::Lt: return a < b;
+      case Predicate::Le: return a <= b;
+      case Predicate::Gt: return a > b;
+      case Predicate::Ge: return a >= b;
+      default: return false;
+    }
+  }
+
   Kind kind_ = Kind::Absent;
   Symbol sym_;
-  long int_ = 0;
-  double float_ = 0.0;
+  union {  // kind_ says which member holds the value
+    long int_ = 0;
+    double float_;
+  };
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);

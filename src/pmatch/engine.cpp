@@ -119,9 +119,8 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       num_buckets_(resolve_buckets(options_)),
       assignment_(resolve_assignment(options_, num_buckets_)),
       owner_map_(assignment_.map_for(0)),
-      conflict_([&net](ProductionId pid) {
-        return net.production(pid).specificity();
-      }),
+      conflict_([&net](ProductionId pid) { return net.specificity(pid); }),
+      wmes_(net.slot_attrs()),
       round_barrier_(static_cast<std::ptrdiff_t>(threads_)),
       exchange_barrier_(static_cast<std::ptrdiff_t>(threads_),
                         ExchangeCompletion{this}),
@@ -381,7 +380,7 @@ ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
   WorkItem item = std::move(w.pool.back());
   w.pool.pop_back();
   item.token.wmes.clear();
-  item.key.clear();
+  item.operands.clear();
   item.parent = 0;
   item.seq = 0;
   item.wme = WmeId{};
@@ -401,16 +400,16 @@ void ParallelEngine::recycle_items(Worker& w, std::vector<WorkItem>& items) {
   items.clear();
 }
 
-void ParallelEngine::seed_root(const ops5::Wme& wme, const Token& root,
-                               const AlphaSuccessor& succ, Tag tag,
-                               std::vector<rete::Value>& key) {
+void ParallelEngine::seed_root(WmeId root, const AlphaSuccessor& succ,
+                               Tag tag, std::vector<rete::Value>& operands) {
   const BetaNode& dest = net_.beta(succ.beta);
+  const rete::JoinKernel& kernel = workers_.front()->join;
   if (succ.side == Side::Left) {
-    workers_.front()->join.left_key(dest, root.wmes, key);
+    kernel.left_operands(dest, {&root, 1}, operands);
   } else {
-    rete::JoinKernel::right_key(dest, wme, key);
+    kernel.right_operands(dest, root, operands);
   }
-  const std::uint32_t bucket = rete::bucket_index(succ.beta, key, num_buckets_);
+  const std::uint32_t bucket = kernel.bucket_of(dest, operands);
   Worker& owner = *workers_[owner_map_[bucket]];
   WorkItem item = take_item(owner);
   item.sender = owner.index;
@@ -418,11 +417,11 @@ void ParallelEngine::seed_root(const ops5::Wme& wme, const Token& root,
   item.side = succ.side;
   item.tag = tag;
   if (succ.side == Side::Left) {
-    item.token = root;
+    item.token.wmes.assign(1, root);
   } else {
-    item.wme = root.wmes.front();
+    item.wme = root;
   }
-  std::swap(item.key, key);
+  std::swap(item.operands, operands);
   item.bucket = bucket;
   owner.current.push_back(std::move(item));
 }
@@ -442,8 +441,9 @@ struct ParallelEngine::WorkerSink {
     child.tag = tag;
     // assign reuses the recycled item's capacity
     child.token.wmes.assign(token.begin(), token.end());
-    w.join.left_key(engine.net_.beta(node), token, child.key);
-    child.bucket = rete::bucket_index(node, child.key, engine.num_buckets_);
+    const BetaNode& dest = engine.net_.beta(node);
+    w.join.left_operands(dest, token, child.operands);
+    child.bucket = w.join.bucket_of(dest, child.operands);
     engine.route(w, std::move(child));
   }
   void instantiation(ProductionId pid, std::span<const WmeId> token,
@@ -471,9 +471,9 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
   const BetaNode& node = net_.beta(item.node);
   const rete::JoinEmitted emitted =
       item.side == Side::Left
-          ? w.join.left_activation(node, item.tag, item.token.wmes, item.key,
-                                   item.bucket, sink)
-          : w.join.right_activation(node, item.tag, item.wme, item.key,
+          ? w.join.left_activation(node, item.tag, item.token.wmes,
+                                   item.operands, item.bucket, sink)
+          : w.join.right_activation(node, item.tag, item.wme, item.operands,
                                     item.bucket, sink);
   pr.rec.successors = emitted.successors;
   pr.rec.instantiations = emitted.instantiations;
@@ -563,29 +563,45 @@ void ParallelEngine::flush() {
 void ParallelEngine::run_phase(const ops5::WmeChange* changes,
                                std::size_t count) try {
   for (auto& w : workers_) begin_worker_phase(*w);
-  // Per-change pre-work, in change order: the listener sees every change
-  // before any of the batch's activations; adds enter the wme table so
-  // keys can resolve them; single-positive-CE productions update the
-  // conflict set directly (same scan order as the serial engine); and
-  // each alpha successor's root is keyed once and handed to its bucket's
-  // owner, so every owner's round 0 lists its roots in change order.
-  std::vector<rete::Value> key;  // reused by every root
+  // Per-change pre-work, in change order: the change is checked against
+  // the wme table; the listener sees every change before any of the
+  // batch's activations; adds enter the wme table so operands can be read
+  // from them; single-positive-CE productions update the conflict set
+  // directly (same scan order as the serial engine); and each alpha
+  // successor's root has its operands read once and is handed to its
+  // bucket's owner, so every owner's round 0 lists its roots in change
+  // order.
+  std::vector<rete::Value> operands;  // reused by every root
+  deleted_.clear();
   for (std::size_t c = 0; c < count; ++c) {
     const ops5::WmeChange& change = changes[c];
+    wmes_.check(change);
     if (listener_ != nullptr) listener_->on_wme_change(change);
     const Tag tag =
         change.kind == ops5::WmeChange::Kind::Add ? Tag::Plus : Tag::Minus;
-    const Token root{{change.wme.id()}};
-    if (tag == Tag::Plus) wmes_.emplace(change.wme.id(), change.wme);
+    const WmeId root = change.wme.id();
+    if (tag == Tag::Plus) {
+      wmes_.insert(change.wme);
+    } else {
+      deleted_.push_back(root);
+    }
     for (const AlphaNode& alpha : net_.alphas()) {
       if (!alpha.matches(change.wme)) continue;
       for (ProductionId pid : alpha.direct_productions) {
-        rete::update_conflict_set(conflict_, pid, root.wmes, tag);
+        rete::update_conflict_set(conflict_, pid, {&root, 1}, tag);
       }
       for (const AlphaSuccessor& succ : alpha.successors) {
-        seed_root(change.wme, root, succ, tag, key);
+        seed_root(root, succ, tag, operands);
       }
     }
+  }
+  // The table keeps a deleted wme until the phase ends, so `check` passes
+  // a second delete of it in the same phase.
+  std::sort(deleted_.begin(), deleted_.end());
+  if (const auto twice = std::adjacent_find(deleted_.begin(), deleted_.end());
+      twice != deleted_.end()) {
+    throw RuntimeError("delete of wme id " + std::to_string(twice->value()) +
+                       ", which is not live");
   }
   const std::uint64_t rounds_before = rounds_executed_;
   const auto phase_wall_start =
@@ -627,11 +643,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
                               control_lane_->stamp(merge_end));
     options_.profiler->add_phase(rounds_executed_ - rounds_before, count);
   }
-  for (std::size_t c = 0; c < count; ++c) {
-    if (changes[c].kind == ops5::WmeChange::Kind::Delete) {
-      wmes_.erase(changes[c].wme.id());
-    }
-  }
+  for (WmeId id : deleted_) wmes_.erase(id);
   ++phases_;
   changes_ += count;
   collect_stats();

@@ -38,7 +38,11 @@
 //
 // A phase that throws poisons the engine: it keeps the first error, drops
 // the batch, and every later process_change / process_changes /
-// begin_batch / flush throws mpps::RuntimeError naming that error.
+// begin_batch / flush throws mpps::RuntimeError naming that error.  A
+// phase throws before round 0, naming the wme id, when a change adds an
+// id that is live or deletes one that is not.  Deleted wmes stay in the
+// wme table until their phase ends, so a phase may not re-add an id it
+// deletes.
 #pragma once
 
 #include <atomic>
@@ -225,7 +229,8 @@ class ParallelEngine final : public rete::MatchEngine {
     rete::Tag tag = rete::Tag::Plus;
     rete::Token token;               // left items
     WmeId wme;                       // right items (roots only)
-    std::vector<rete::Value> key;    // equality key at the destination node
+    // The destination node's test operands, equality key first.
+    std::vector<rete::Value> operands;
     std::uint32_t bucket = 0;
   };
 
@@ -313,11 +318,10 @@ class ParallelEngine final : public rete::MatchEngine {
   /// single control-side path behind process_change / process_changes /
   /// flush).  Seeds round 0, has the rounds driven, then merges.
   void run_phase(const ops5::WmeChange* changes, std::size_t count);
-  /// Keys and buckets one constant-test root and appends it to its
-  /// bucket owner's round 0.
-  void seed_root(const ops5::Wme& wme, const rete::Token& root,
-                 const rete::AlphaSuccessor& succ, rete::Tag tag,
-                 std::vector<rete::Value>& key);
+  /// Reads one constant-test root's operands, buckets it and appends it
+  /// to its bucket owner's round 0.
+  void seed_root(WmeId root, const rete::AlphaSuccessor& succ, rete::Tag tag,
+                 std::vector<rete::Value>& operands);
   /// The two ways to run a phase's rounds.  A worker thread runs its own
   /// steps between the round and exchange barriers; the cooperative loop
   /// runs every worker's steps on the calling thread, in index order.
@@ -372,6 +376,7 @@ class ParallelEngine final : public rete::MatchEngine {
   rete::ActivationListener* listener_ = nullptr;
   rete::ConflictSet conflict_;
   rete::WmeTable wmes_;
+  std::vector<WmeId> deleted_;  // this phase's deletes, erased at its end
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // Phase handshake (worker threads only): control seeds round 0 and

@@ -61,20 +61,20 @@ struct Engine::QueueSink {
 Engine::Engine(const Network& net, EngineOptions options)
     : net_(net),
       options_(validated(options)),
+      wmes_(net.slot_attrs()),
       join_(wmes_, options.num_buckets, join_histograms(options.metrics)),
-      conflict_([&net](ProductionId pid) {
-        return net.production(pid).specificity();
-      }),
+      conflict_([&net](ProductionId pid) { return net.specificity(pid); }),
       mirror_(options.metrics) {}
 
 void Engine::process_change(const ops5::WmeChange& change) {
+  wmes_.check(change);
   if (listener_ != nullptr) listener_->on_wme_change(change);
   const Tag tag =
       change.kind == ops5::WmeChange::Kind::Add ? Tag::Plus : Tag::Minus;
   const WmeId id = change.wme.id();
   const std::span<const WmeId> root(&id, 1);
   if (tag == Tag::Plus) {
-    wmes_.emplace(id, change.wme);
+    wmes_.insert(change.wme);
   }
   queue_.clear();
   queue_wmes_.clear();
@@ -120,17 +120,18 @@ void Engine::activate(const Pending& p) {
   const WmeId* first = queue_wmes_.data() + p.begin;
   token_.assign(first, first + p.size);
   if (p.side == Side::Left) {
-    join_.left_key(node, token_, key_);
+    join_.left_operands(node, token_, operands_);
   } else {
-    JoinKernel::right_key(node, wmes_.at(token_[0]), key_);
+    join_.right_operands(node, token_[0], operands_);
   }
-  rec.bucket = bucket_index(node.id, key_, options_.num_buckets);
+  rec.bucket = join_.bucket_of(node, operands_);
   QueueSink sink{*this, rec.id};
   const JoinEmitted emitted =
       p.side == Side::Left
-          ? join_.left_activation(node, p.tag, token_, key_, rec.bucket, sink)
-          : join_.right_activation(node, p.tag, token_[0], key_, rec.bucket,
-                                   sink);
+          ? join_.left_activation(node, p.tag, token_, operands_, rec.bucket,
+                                  sink)
+          : join_.right_activation(node, p.tag, token_[0], operands_,
+                                   rec.bucket, sink);
   rec.successors = emitted.successors;
   rec.instantiations = emitted.instantiations;
   if (listener_ != nullptr) listener_->on_activation(rec);

@@ -136,6 +136,9 @@ class Engine final : public MatchEngine {
   }
 
   /// Pushes one WM change (add or delete) fully through the network.
+  /// Throws mpps::RuntimeError naming the wme id, before any memory or
+  /// the listener sees the change, when it adds an id that is live or
+  /// deletes one that is not; the engine stays usable.
   void process_change(const ops5::WmeChange& change) override;
 
   [[nodiscard]] ConflictSet& conflict_set() override { return conflict_; }
@@ -186,8 +189,8 @@ class Engine final : public MatchEngine {
   // buffer; both are cleared per change and keep their capacity.
   std::vector<Pending> queue_;
   std::vector<WmeId> queue_wmes_;
-  std::vector<WmeId> token_;  // the current activation's token
-  std::vector<Value> key_;    // the current activation's equality key
+  std::vector<WmeId> token_;     // the current activation's token
+  std::vector<Value> operands_;  // and its join-test operands
   std::uint64_t next_activation_ = 1;
   StatsMirror mirror_;
 };

@@ -3,6 +3,12 @@
 // bucket its equality key addresses, matches it against the opposite
 // bucket of the same node, and emits the successor tokens.
 //
+// An activation arrives with its operands: the value of each of the
+// node's tests on its side, read from the wme table once
+// (`left_operands`, `right_operands`); the first `n_eq_tests` of them are
+// the equality key.  Memory entries keep their operands, so matching a
+// candidate compares two operand spans and reads no wme.
+//
 // The serial `rete::Engine` and every worker of `pmatch::ParallelEngine`
 // run each join and negative-node activation through this one kernel.
 // They differ only in the sink that receives what an activation emits,
@@ -25,22 +31,17 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/ids.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/ops5/wme.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/memory.hpp"
 #include "src/rete/network.hpp"
 #include "src/rete/token.hpp"
+#include "src/rete/wme_table.hpp"
 
 namespace mpps::rete {
-
-/// The wmes live inside a network, by id.
-using WmeTable = std::unordered_map<WmeId, ops5::Wme>;
 
 struct EngineStats {
   std::uint64_t left_activations = 0;
@@ -95,44 +96,53 @@ class JoinKernel {
     return left_.total_tokens() + right_.total_tokens();
   }
 
-  /// The equality key of `token` arriving at `node`'s left input, written
-  /// into `out` (its capacity is reused).
-  void left_key(const BetaNode& node, std::span<const WmeId> token,
-                std::vector<Value>& out) const {
+  /// The operands of `token` arriving at `node`'s left input, one per
+  /// test, written into `out` (its capacity is reused).
+  void left_operands(const BetaNode& node, std::span<const WmeId> token,
+                     std::vector<Value>& out) const {
     out.clear();
-    for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-      const JoinTest& test = node.tests[i];
-      out.push_back(wmes_.at(token[test.left_pos]).get(test.left_attr));
+    for (const JoinTest& test : node.tests) {
+      out.push_back(wmes_.value(wmes_.row(token[test.left_pos]),
+                                test.left_slot));
     }
   }
 
-  /// The equality key of `wme` arriving at `node`'s right input.
-  static void right_key(const BetaNode& node, const ops5::Wme& wme,
-                        std::vector<Value>& out) {
+  /// The operands of wme `wme` arriving at `node`'s right input.
+  void right_operands(const BetaNode& node, WmeId wme,
+                      std::vector<Value>& out) const {
     out.clear();
-    for (std::uint32_t i = 0; i < node.n_eq_tests; ++i) {
-      out.push_back(wme.get(node.tests[i].right_attr));
+    const std::uint32_t row = wmes_.row(wme);
+    for (const JoinTest& test : node.tests) {
+      out.push_back(wmes_.value(row, test.right_slot));
     }
   }
 
-  /// A token arrives at `node`'s left input; `key` is its left_key and
-  /// `bucket` the bucket that key addresses.
+  /// The bucket that the equality key within `operands` addresses.
+  [[nodiscard]] std::uint32_t bucket_of(const BetaNode& node,
+                                        std::span<const Value> operands) const {
+    return left_.bucket_of(node.id, operands.first(node.n_eq_tests));
+  }
+
+  /// A token arrives at `node`'s left input; `operands` are its
+  /// left_operands and `bucket` their bucket_of.
   template <typename Sink>
   JoinEmitted left_activation(const BetaNode& node, Tag tag,
                               std::span<const WmeId> token,
-                              std::span<const Value> key,
+                              std::span<const Value> operands,
                               std::uint32_t bucket, Sink& sink) {
     ++stats_.left_activations;
     JoinEmitted out;
+    const std::span<const Value> key = operands.first(node.n_eq_tests);
     if (node.kind == BetaNode::Kind::Join) {
       if (tag == Tag::Plus) {
-        insert(left_, node.id, bucket, token, key, 0);
+        insert(left_, node.id, bucket, token, operands, 0);
       } else if (!left_.erase(node.id, bucket, token)) {
         ++stats_.stale_deletes;
       }
       probe(right_, node.id, bucket, key,
-            [&](std::span<const WmeId> right, int&) {
-              if (!non_eq_tests_pass(node, token, wmes_.at(right[0]))) return;
+            [&](std::span<const WmeId> right, std::span<const Value> rops,
+                int&) {
+              if (!non_eq_tests_pass(node, operands, rops)) return;
               child_.assign(token.begin(), token.end());
               child_.push_back(right[0]);
               emit(node, child_, tag, sink, out);
@@ -140,10 +150,10 @@ class JoinKernel {
     } else if (tag == Tag::Plus) {  // negative node
       int count = 0;
       probe(right_, node.id, bucket, key,
-            [&](std::span<const WmeId> right, int&) {
-              if (non_eq_tests_pass(node, token, wmes_.at(right[0]))) ++count;
+            [&](std::span<const WmeId>, std::span<const Value> rops, int&) {
+              if (non_eq_tests_pass(node, operands, rops)) ++count;
             });
-      insert(left_, node.id, bucket, token, key, count);
+      insert(left_, node.id, bucket, token, operands, count);
       if (count == 0) emit(node, token, Tag::Plus, sink, out);
     } else {
       int count = 0;
@@ -156,26 +166,27 @@ class JoinKernel {
     return out;
   }
 
-  /// Wme `wme` arrives at `node`'s right input; `key` is its right_key and
-  /// `bucket` the bucket that key addresses.
+  /// Wme `wme` arrives at `node`'s right input; `operands` are its
+  /// right_operands and `bucket` their bucket_of.
   template <typename Sink>
   JoinEmitted right_activation(const BetaNode& node, Tag tag, WmeId wme,
-                               std::span<const Value> key,
+                               std::span<const Value> operands,
                                std::uint32_t bucket, Sink& sink) {
     ++stats_.right_activations;
     JoinEmitted out;
-    const ops5::Wme& w = wmes_.at(wme);
     const std::span<const WmeId> token(&wme, 1);
+    const std::span<const Value> key = operands.first(node.n_eq_tests);
     if (tag == Tag::Plus) {
-      insert(right_, node.id, bucket, token, key, 0);
+      insert(right_, node.id, bucket, token, operands, 0);
     } else if (!right_.erase(node.id, bucket, token)) {
       ++stats_.stale_deletes;
       if (node.kind == BetaNode::Kind::Negative) return out;
     }
     if (node.kind == BetaNode::Kind::Join) {
       probe(left_, node.id, bucket, key,
-            [&](std::span<const WmeId> left, int&) {
-              if (!non_eq_tests_pass(node, left, w)) return;
+            [&](std::span<const WmeId> left, std::span<const Value> lops,
+                int&) {
+              if (!non_eq_tests_pass(node, lops, operands)) return;
               child_.assign(left.begin(), left.end());
               child_.push_back(wme);
               emit(node, child_, tag, sink, out);
@@ -185,8 +196,9 @@ class JoinKernel {
     // Negative node: each matching left token counts this wme as a
     // blocker; a token emits when its count leaves or returns to zero.
     probe(left_, node.id, bucket, key,
-          [&](std::span<const WmeId> left, int& count) {
-            if (!non_eq_tests_pass(node, left, w)) return;
+          [&](std::span<const WmeId> left, std::span<const Value> lops,
+              int& count) {
+            if (!non_eq_tests_pass(node, lops, operands)) return;
             if (tag == Tag::Plus ? count++ == 0 : --count == 0) {
               emit(node, left, tag == Tag::Plus ? Tag::Minus : Tag::Plus,
                    sink, out);
@@ -197,9 +209,10 @@ class JoinKernel {
 
  private:
   void insert(HashedMemory& mem, NodeId node, std::uint32_t bucket,
-              std::span<const WmeId> token, std::span<const Value> key,
+              std::span<const WmeId> token, std::span<const Value> operands,
               int neg_count) {
-    const std::size_t size = mem.insert(node, bucket, token, key, neg_count);
+    const std::size_t size =
+        mem.insert(node, bucket, token, operands, neg_count);
     if (histograms_.occupancy != nullptr) {
       histograms_.occupancy->observe(static_cast<std::int64_t>(size));
     }
@@ -220,13 +233,11 @@ class JoinKernel {
   /// The non-equality join tests (the equality ones hold by key).  A CE
   /// reads `^right_attr <pred> <var>`: the right wme's value is the left
   /// operand of the predicate, the token's binding the right operand.
-  [[nodiscard]] bool non_eq_tests_pass(const BetaNode& node,
-                                       std::span<const WmeId> token,
-                                       const ops5::Wme& w) const {
-    for (std::uint32_t i = node.n_eq_tests; i < node.tests.size(); ++i) {
-      const JoinTest& test = node.tests[i];
-      const Value& lv = wmes_.at(token[test.left_pos]).get(test.left_attr);
-      if (!w.get(test.right_attr).test(test.pred, lv)) return false;
+  [[nodiscard]] static bool non_eq_tests_pass(
+      const BetaNode& node, std::span<const Value> left,
+      std::span<const Value> right) {
+    for (std::size_t i = node.n_eq_tests; i < node.tests.size(); ++i) {
+      if (!right[i].test(node.tests[i].pred, left[i])) return false;
     }
     return true;
   }

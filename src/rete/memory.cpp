@@ -21,14 +21,16 @@ void HashedMemory::Cell::erase_at(std::size_t i) {
   // order probes visit them in.
   const auto t = wmes.begin() + static_cast<std::ptrdiff_t>(i * token_len);
   wmes.erase(t, t + static_cast<std::ptrdiff_t>(token_len));
-  const auto k = keys.begin() + static_cast<std::ptrdiff_t>(i * key_len);
-  keys.erase(k, k + static_cast<std::ptrdiff_t>(key_len));
+  const auto o =
+      operands.begin() + static_cast<std::ptrdiff_t>(i * operand_len);
+  operands.erase(o, o + static_cast<std::ptrdiff_t>(operand_len));
   neg_counts.erase(neg_counts.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 std::size_t HashedMemory::insert(NodeId node, std::uint32_t bucket,
                                  std::span<const WmeId> token,
-                                 std::span<const Value> key, int neg_count) {
+                                 std::span<const Value> operands,
+                                 int neg_count) {
   if (node.value() >= slots_.size()) slots_.resize(node.value() + 1);
   std::vector<std::uint32_t>& table = slots_[node.value()];
   if (table.empty()) table.assign(num_buckets_, kNoSlot);
@@ -44,9 +46,9 @@ std::size_t HashedMemory::insert(NodeId node, std::uint32_t bucket,
   }
   Cell& cell = cells_[slot];
   cell.token_len = token.size();
-  cell.key_len = key.size();
+  cell.operand_len = operands.size();
   cell.wmes.insert(cell.wmes.end(), token.begin(), token.end());
-  cell.keys.insert(cell.keys.end(), key.begin(), key.end());
+  cell.operands.insert(cell.operands.end(), operands.begin(), operands.end());
   cell.neg_counts.push_back(neg_count);
   ++total_;
   return cell.neg_counts.size();

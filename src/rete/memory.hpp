@@ -8,6 +8,10 @@
 // The *bucket index* (key hash mod bucket count) is what the MPC mapping
 // partitions across processors; the engine additionally filters entries by
 // exact key values because distinct keys may collide into one index.
+//
+// An entry stores, beside its token, the operands of every test of its
+// node (equality key first), so a probe compares values already in the
+// cell and never looks a wme up.
 #pragma once
 
 #include <algorithm>
@@ -31,12 +35,13 @@ std::uint32_t bucket_index(NodeId node, std::span<const Value> key,
 /// One side (left or right) of the global hash table.
 ///
 /// Each (node, bucket) cell keeps its entries in insertion order in three
-/// flat arrays: the tokens' wmes, the keys, and the negative-node counts.
-/// Every token a node stores on one side has the same length, and every
-/// key the node's equality-test count.  Beta node ids are dense, so a
-/// node's cells are found through a per-node table of bucket → slot.  A
-/// cell that empties gives its slot, with its capacity, to the next new
-/// cell, so in steady state nothing here allocates.
+/// flat arrays: the tokens' wmes, the operands, and the negative-node
+/// counts.  Every token a node stores on one side has the same length, and
+/// every entry as many operands as the node has tests; the first operands
+/// are the equality key.  Beta node ids are dense, so a node's cells are
+/// found through a per-node table of bucket → slot.  A cell that empties
+/// gives its slot, with its capacity, to the next new cell, so in steady
+/// state nothing here allocates.
 ///
 /// Callers pass the bucket their key addresses (`bucket_of(node, key)`),
 /// so an activation hashes its key once.
@@ -52,12 +57,12 @@ class HashedMemory {
     return bucket_index(node, key, num_buckets_);
   }
 
-  /// Appends a token with equality key `key` and negative-node count
-  /// `neg_count` to `node`'s cell for `bucket`.  Returns the cell's size
-  /// after the insert.
+  /// Appends a token with test operands `operands` (equality key first)
+  /// and negative-node count `neg_count` to `node`'s cell for `bucket`.
+  /// Returns the cell's size after the insert.
   std::size_t insert(NodeId node, std::uint32_t bucket,
-                     std::span<const WmeId> token, std::span<const Value> key,
-                     int neg_count = 0);
+                     std::span<const WmeId> token,
+                     std::span<const Value> operands, int neg_count = 0);
 
   /// Removes the first entry of `node`'s cell for `bucket` holding
   /// `token`, storing its negative-node count in `*neg_count` when that is
@@ -65,10 +70,11 @@ class HashedMemory {
   bool erase(NodeId node, std::uint32_t bucket, std::span<const WmeId> token,
              int* neg_count = nullptr);
 
-  /// Calls `visit(token, neg_count)` on each entry of `node`'s cell for
-  /// `bucket` whose stored key equals `key` element-wise, in insertion
-  /// order, and returns how many it visited.  `visit` may change the count
-  /// but must not insert into or erase from this memory.
+  /// Calls `visit(token, operands, neg_count)` on each entry of `node`'s
+  /// cell for `bucket` whose first `key.size()` operands equal `key`
+  /// element-wise, in insertion order, and returns how many it visited.
+  /// `visit` may change the count but must not insert into or erase from
+  /// this memory.
   template <typename Visit>
   std::uint32_t probe(NodeId node, std::uint32_t bucket,
                       std::span<const Value> key, Visit&& visit) {
@@ -79,9 +85,10 @@ class HashedMemory {
     scanned_ += n;
     std::uint32_t matched = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!std::ranges::equal(cell.key(i), key)) continue;  // Value::equals
+      const std::span<const Value> operands = cell.operands_of(i);
+      if (!std::ranges::equal(operands.first(key.size()), key)) continue;
       ++matched;
-      visit(cell.token(i), cell.neg_counts[i]);
+      visit(cell.token(i), operands, cell.neg_counts[i]);
     }
     return matched;
   }
@@ -104,16 +111,16 @@ class HashedMemory {
 
   struct Cell {
     std::vector<WmeId> wmes;      // entry i's token: token_len wmes at i
-    std::vector<Value> keys;      // entry i's key: key_len values at i
+    std::vector<Value> operands;  // entry i's: operand_len values at i
     std::vector<int> neg_counts;  // one per entry
     std::size_t token_len = 0;
-    std::size_t key_len = 0;
+    std::size_t operand_len = 0;
 
     [[nodiscard]] std::span<const WmeId> token(std::size_t i) const {
       return {wmes.data() + i * token_len, token_len};
     }
-    [[nodiscard]] std::span<const Value> key(std::size_t i) const {
-      return {keys.data() + i * key_len, key_len};
+    [[nodiscard]] std::span<const Value> operands_of(std::size_t i) const {
+      return {operands.data() + i * operand_len, operand_len};
     }
     void erase_at(std::size_t i);
   };

@@ -156,6 +156,10 @@ class NetworkBuilder {
                    JoinTest{Predicate::Eq, 0, options_.partition_attr,
                             options_.partition_attr});
     }
+    for (JoinTest& t : tests) {
+      t.left_slot = slot_of(t.left_attr);
+      t.right_slot = slot_of(t.right_attr);
+    }
     if (options_.share_beta_nodes) {
       for (const auto& b : net_.betas_) {
         if (b.kind == kind && b.left_source == left_source &&
@@ -189,6 +193,15 @@ class NetworkBuilder {
           AlphaSuccessor{id, Side::Left});
     }
     return id;
+  }
+
+  /// The attribute's slot in `Network::slot_attrs()`, numbered on first
+  /// use.
+  std::uint32_t slot_of(Symbol attr) {
+    std::vector<Symbol>& attrs = net_.slot_attrs_;
+    auto it = std::find(attrs.begin(), attrs.end(), attr);
+    if (it == attrs.end()) it = attrs.insert(it, attr);
+    return static_cast<std::uint32_t>(it - attrs.begin());
   }
 
   // -- production ----------------------------------------------------------
@@ -241,6 +254,7 @@ class NetworkBuilder {
 
     ProductionId pid{static_cast<std::uint32_t>(net_.pnodes_.size())};
     net_.pnodes_.push_back(ProductionNode{pid, p.name, index});
+    net_.specificities_.push_back(p.specificity());
     if (cur_beta.valid()) {
       net_.betas_[cur_beta.value()].successors.push_back(
           BetaSuccessor{BetaSuccessor::Kind::Production, NodeId::invalid(),

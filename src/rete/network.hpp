@@ -58,12 +58,16 @@ struct AlphaNode {
 
 /// One variable-consistency test at a two-input node: compare the value
 /// bound at `left_pos`/`left_attr` in the left token against `right_attr`
-/// of the right wme.
+/// of the right wme.  `left_slot` and `right_slot` number the two
+/// attributes in `Network::slot_attrs()`, where the wme table keeps each
+/// wme's value of them.
 struct JoinTest {
   Predicate pred = Predicate::Eq;
   std::uint32_t left_pos = 0;  // index into the left token's wme list
   Symbol left_attr;
   Symbol right_attr;
+  std::uint32_t left_slot = 0;
+  std::uint32_t right_slot = 0;
 
   friend bool operator==(const JoinTest&, const JoinTest&) = default;
 };
@@ -148,6 +152,16 @@ class Network {
   [[nodiscard]] const std::vector<ops5::Production>& productions() const {
     return productions_;
   }
+  /// The LHS test count of production `id` (`Production::specificity()`),
+  /// counted once at compile time: the LEX/MEA tiebreaker.
+  [[nodiscard]] std::size_t specificity(ProductionId id) const {
+    return specificities_[id.value()];
+  }
+  /// Every attribute a join test reads, numbered by slot
+  /// (`JoinTest::left_slot`, `JoinTest::right_slot`).
+  [[nodiscard]] const std::vector<Symbol>& slot_attrs() const {
+    return slot_attrs_;
+  }
 
   /// For RHS/term evaluation: where each variable of production `id` was
   /// first bound: (position in the instantiation's wme list, attribute).
@@ -181,6 +195,8 @@ class Network {
   std::vector<BetaNode> betas_;
   std::vector<ProductionNode> pnodes_;
   std::vector<ops5::Production> productions_;
+  std::vector<std::size_t> specificities_;         // per production node
+  std::vector<Symbol> slot_attrs_;
   std::vector<std::vector<VarBinding>> bindings_;  // per production node
   std::vector<std::vector<ElemBinding>> elem_bindings_;
 };

@@ -1,7 +1,10 @@
 // Tokens: partial instantiations of productions flowing through the Rete
 // network.  A token lists the wmes matching the positive condition elements
-// matched so far (the paper's "list of wme IDs"); variable bindings are
-// recovered from the wmes on demand, which is equivalent to carrying them.
+// matched so far (the paper's "list of wme IDs").  The join kernel reads
+// the values a node tests from the wme table once, when the token arrives
+// at the node, and stores them beside it in the node's memory, so a probe
+// compares stored values and looks no wme up; the RHS reads bindings from
+// the wmes.
 #pragma once
 
 #include <cstdint>

@@ -103,25 +103,51 @@ TEST(HashedMemoryBookkeeping, CellsAndTotalsTrackContents) {
 
 TEST(HashedMemoryBookkeeping, FindFiltersByExactKey) {
   rete::HashedMemory memory(1);  // force every key into one bucket
-  std::vector<ops5::Value> key1{ops5::Value::sym("a")};
-  std::vector<ops5::Value> key2{ops5::Value::sym("b")};
+  // Each entry carries its key and then one non-equality operand; only
+  // the key prefix decides which entries a probe visits.
+  const ops5::Value a = ops5::Value::sym("a");
+  const ops5::Value b = ops5::Value::sym("b");
+  const std::vector<ops5::Value> operands1{a, ops5::Value(10L)};
+  const std::vector<ops5::Value> operands2{b, ops5::Value(20L)};
+  const std::vector<ops5::Value> operands3{a, ops5::Value(30L)};
   const WmeId w1[] = {WmeId{1}};
   const WmeId w2[] = {WmeId{2}};
-  memory.insert(NodeId{1}, 0, w1, key1);
-  memory.insert(NodeId{1}, 0, w2, key2);
-  const auto probe = [&](NodeId node, const std::vector<ops5::Value>& key) {
-    std::vector<WmeId> seen;
+  const WmeId w3[] = {WmeId{3}};
+  memory.insert(NodeId{1}, 0, w1, operands1);
+  memory.insert(NodeId{1}, 0, w2, operands2);
+  memory.insert(NodeId{1}, 0, w3, operands3);
+  ASSERT_EQ(memory.bucket_of(NodeId{1}, std::span(&a, 1)),
+            memory.bucket_of(NodeId{1}, std::span(&b, 1)));
+  struct Seen {
+    std::vector<WmeId> tokens;
+    std::vector<long> operands;  // each visited entry's second operand
+  };
+  const auto probe = [&](NodeId node, const ops5::Value& key) {
+    Seen seen;
     const std::uint32_t n = memory.probe(
-        node, 0, key, [&](std::span<const WmeId> token, int&) {
-          seen.insert(seen.end(), token.begin(), token.end());
+        node, 0, std::span(&key, 1),
+        [&](std::span<const WmeId> token,
+            std::span<const ops5::Value> operands, int&) {
+          seen.tokens.insert(seen.tokens.end(), token.begin(), token.end());
+          EXPECT_EQ(operands.size(), 2u);
+          EXPECT_TRUE(operands[0].equals(key));
+          seen.operands.push_back(operands[1].as_int());
         });
-    EXPECT_EQ(n, seen.size());
+    EXPECT_EQ(n, seen.tokens.size());
     return seen;
   };
-  EXPECT_EQ(probe(NodeId{1}, key1), std::vector<WmeId>{WmeId{1}});
-  EXPECT_EQ(probe(NodeId{1}, key2), std::vector<WmeId>{WmeId{2}});
+  const Seen seen_a = probe(NodeId{1}, a);
+  EXPECT_EQ(seen_a.tokens, (std::vector<WmeId>{WmeId{1}, WmeId{3}}));
+  EXPECT_EQ(seen_a.operands, (std::vector<long>{10, 30}));
+  const Seen seen_b = probe(NodeId{1}, b);
+  EXPECT_EQ(seen_b.tokens, std::vector<WmeId>{WmeId{2}});
+  EXPECT_EQ(seen_b.operands, std::vector<long>{20});
   // Same bucket index, different node: invisible.
-  EXPECT_TRUE(probe(NodeId{9}, key1).empty());
+  EXPECT_TRUE(probe(NodeId{9}, a).tokens.empty());
+  // Erasing one key's entry leaves the other key's entries in place.
+  EXPECT_TRUE(memory.erase(NodeId{1}, 0, w1));
+  EXPECT_EQ(probe(NodeId{1}, a).operands, std::vector<long>{30});
+  EXPECT_EQ(probe(NodeId{1}, b).operands, std::vector<long>{20});
 }
 
 TEST(HashedMemoryBookkeeping, EmptiedCellsAreReusedInInsertionOrder) {
@@ -135,15 +161,18 @@ TEST(HashedMemoryBookkeeping, EmptiedCellsAreReusedInInsertionOrder) {
   EXPECT_TRUE(memory.erase(NodeId{4}, 0, b, &count));
   EXPECT_EQ(count, 7);
   std::vector<WmeId> order;
-  memory.probe(NodeId{4}, 0, key, [&](std::span<const WmeId> token, int&) {
-    order.push_back(token[0]);
-  });
+  memory.probe(NodeId{4}, 0, key,
+               [&](std::span<const WmeId> token,
+                   std::span<const ops5::Value>, int&) {
+                 order.push_back(token[0]);
+               });
   EXPECT_EQ(order, (std::vector<WmeId>{WmeId{1}, WmeId{5}}));
   // Emptying the cell frees its slot; the next node's cell takes it.
   EXPECT_TRUE(memory.erase(NodeId{4}, 0, a));
   EXPECT_TRUE(memory.erase(NodeId{4}, 0, c));
   EXPECT_EQ(memory.occupied_cells(), 0u);
-  const auto ignore = [](std::span<const WmeId>, int&) {};
+  const auto ignore = [](std::span<const WmeId>, std::span<const ops5::Value>,
+                         int&) {};
   EXPECT_EQ(memory.probe(NodeId{4}, 0, key, ignore), 0u);
   EXPECT_EQ(memory.insert(NodeId{5}, 0, {a, 1}, key), 1u);
   EXPECT_EQ(memory.occupied_cells(), 1u);

@@ -53,6 +53,28 @@ TEST(Value, NotEqualRequiresBothPresent) {
   EXPECT_FALSE(Value(1L).test(Predicate::Ne, Value()));
 }
 
+// Int and float share storage; the symbol keeps its own.
+static_assert(sizeof(Value) == 16);
+
+TEST(Value, AccessorsReturnZeroForAKindTheValueDoesNotHold) {
+  const Value absent;
+  const Value sym = Value::sym("blue");
+  const Value integer(-7L);
+  const Value real(2.5);
+  EXPECT_EQ(absent.as_int(), 0);
+  EXPECT_EQ(absent.as_double(), 0.0);
+  EXPECT_TRUE(absent.as_symbol().empty());
+  EXPECT_EQ(sym.as_int(), 0);
+  EXPECT_EQ(sym.as_double(), 0.0);
+  EXPECT_EQ(sym.as_symbol(), Symbol::intern("blue"));
+  EXPECT_EQ(integer.as_int(), -7);
+  EXPECT_EQ(integer.as_double(), -7.0);
+  EXPECT_TRUE(integer.as_symbol().empty());
+  EXPECT_EQ(real.as_int(), 0);
+  EXPECT_EQ(real.as_double(), 2.5);
+  EXPECT_TRUE(real.as_symbol().empty());
+}
+
 TEST(Value, HashConsistentWithEquality) {
   EXPECT_EQ(Value(2L).hash(), Value(2.0).hash());
   EXPECT_EQ(Value::sym("x").hash(), Value::sym("x").hash());

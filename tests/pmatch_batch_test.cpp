@@ -220,10 +220,10 @@ TEST(BatchApi, FlushWithoutOpenBatchThrows) {
 }
 
 TEST(BatchApi, FailedWorkerPhasePoisonsTheEngine) {
-  // Deleting a wme the engine never saw fails on a worker thread: the
-  // right activation cannot resolve the wme.  The engine keeps that first
-  // error and drops the batch; every later call throws, naming it, and
-  // never re-runs the failed batch.
+  // Deleting a wme the engine never saw fails the phase: the control
+  // thread finds no live wme with its id before round 0.  The engine
+  // keeps that first error and drops the batch; every later call throws,
+  // naming it, and never re-runs the failed batch.
   const rete::Network net =
       rete::Network::compile(ops5::parse_program(kJoinSource));
   pmatch::ParallelOptions popts;
@@ -255,6 +255,58 @@ TEST(BatchApi, FailedWorkerPhasePoisonsTheEngine) {
   expect_poisoned([&] { engine.begin_batch(); });
   expect_poisoned([&] { engine.flush(); });
   EXPECT_EQ(engine.phases(), 0u);
+}
+
+TEST(BatchApi, UnknownDeleteOrDuplicateAddFailsBeforeRoundZero) {
+  const rete::Network net =
+      rete::Network::compile(ops5::parse_program(kJoinSource));
+  ops5::WorkingMemory wm;
+  const WmeId left = wm.add(ops5::parse_wme("(left ^k 1)"));
+  const std::vector<ops5::WmeChange> setup = wm.drain_changes();
+  const auto with_id = [](ops5::WmeChange::Kind kind, std::string_view text,
+                          WmeId id) {
+    ops5::WmeChange c{kind, ops5::parse_wme(text)};
+    c.wme.rebind_id(id);
+    return c;
+  };
+  using Kind = ops5::WmeChange::Kind;
+  const ops5::WmeChange right_add =
+      with_id(Kind::Add, "(right ^k 1)", WmeId{7});
+  struct Case {
+    std::vector<ops5::WmeChange> batch;
+    WmeId named;
+  };
+  const std::vector<Case> cases = {
+      // A delete of an id that was never added, passing no alpha test.
+      {{with_id(Kind::Delete, "(other ^k 1)", WmeId{99})}, WmeId{99}},
+      // An add of a live id, with other content, after a valid change.
+      {{right_add, with_id(Kind::Add, "(left ^k 2)", left)}, left},
+      // A second delete of one wme in one phase.
+      {{with_id(Kind::Delete, "(left ^k 1)", left),
+        with_id(Kind::Delete, "(left ^k 1)", left)},
+       left},
+  };
+  for (const Case& c : cases) {
+    pmatch::ParallelOptions popts;
+    popts.threads = 2;
+    pmatch::ParallelEngine engine(net, popts);
+    engine.process_changes(setup);
+    const std::uint64_t rounds = engine.rounds();
+    engine.begin_batch();
+    for (const ops5::WmeChange& change : c.batch) engine.process_change(change);
+    try {
+      engine.flush();
+      ADD_FAILURE() << "accepted a batch naming wme id " << c.named.value();
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "wme id " + std::to_string(c.named.value())),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(engine.rounds(), rounds) << "a round ran";
+    EXPECT_EQ(engine.phases(), 1u);
+    EXPECT_THROW(engine.process_change(right_add), RuntimeError);
+  }
 }
 
 TEST(BatchApi, EmptyFlushIsANoOp) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/common/error.hpp"
 #include "src/ops5/parser.hpp"
 #include "src/rete/network.hpp"
 
@@ -246,6 +249,48 @@ TEST(Engine, DuplicateWmeContentsAreDistinctMatches) {
   f.add("(a ^v 1)");
   f.add("(b ^v 1)");
   EXPECT_EQ(f.cs_size(), 2u);
+}
+
+TEST(Engine, UnknownDeleteAndDuplicateAddThrowBeforeAnythingChanges) {
+  Fixture f("(p pair (a ^v <x>) (b ^v <x>) --> (halt))");
+  struct Changes : ActivationListener {
+    std::size_t seen = 0;
+    void on_wme_change(const WmeChange&) override { ++seen; }
+  } listener;
+  f.engine.set_listener(&listener);
+  const WmeId a = f.add("(a ^v 1)");
+  const auto change = [](WmeChange::Kind kind, std::string_view text,
+                         WmeId id) {
+    WmeChange c{kind, ops5::parse_wme(text)};
+    c.wme.rebind_id(id);
+    return c;
+  };
+  const auto expect_rejected = [&](const WmeChange& bad) {
+    const EngineStats before = f.engine.stats();
+    try {
+      f.engine.process_change(bad);
+      ADD_FAILURE() << "accepted " << bad.wme;
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "wme id " + std::to_string(bad.wme.id().value())),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(f.engine.stats(), before);
+    EXPECT_EQ(f.engine.left_memory().total_tokens(), 1u);
+    EXPECT_EQ(listener.seen, 1u);
+  };
+  // Unknown deletes, whether or not the wme passes an alpha test.
+  expect_rejected(change(WmeChange::Kind::Delete, "(a ^v 1)", WmeId{99}));
+  expect_rejected(change(WmeChange::Kind::Delete, "(z ^v 1)", WmeId{98}));
+  // An add of a live id, with other content.
+  expect_rejected(change(WmeChange::Kind::Add, "(a ^v 2)", a));
+  // The engine stays usable and keeps the first wme's content.
+  f.add("(b ^v 1)");
+  EXPECT_EQ(f.cs_size(), 1u);
+  EXPECT_EQ(f.engine.wme(a).get(Symbol::intern("v")).as_int(), 1);
+  f.remove(a);
+  EXPECT_EQ(f.cs_size(), 0u);
 }
 
 TEST(Engine, AbsentAttributeNeverMatchesConstant) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/ops5/parser.hpp"
 
@@ -159,6 +161,35 @@ TEST(NetworkErrors, ModifyNegatedCe) {
   EXPECT_THROW(compile(R"(
     (p x (a ^v 1) -(b ^w 2) --> (modify 2 ^w 3)))"),
                RuntimeError);
+}
+
+TEST(Network, CompileNumbersJoinAttributesAndCountsSpecificity) {
+  CompileOptions opts;
+  opts.partition_attr = Symbol::intern("tenant");
+  const Network net = compile(R"(
+    (p one (a ^v <x> ^w 3) (b ^v <x> ^u <> <x>) -(c ^u <x>) --> (halt))
+    (p two (a ^v <x>) (d ^w > <x>) --> (halt))
+    (p three (a ^v 1) --> (halt)))",
+                              opts);
+  // Each attribute a join test reads has one slot, the partition's too.
+  const std::vector<Symbol>& slots = net.slot_attrs();
+  for (const Symbol attr : {Symbol::intern("tenant"), Symbol::intern("v"),
+                            Symbol::intern("u"), Symbol::intern("w")}) {
+    EXPECT_EQ(std::count(slots.begin(), slots.end(), attr), 1) << attr.text();
+  }
+  EXPECT_EQ(slots.size(), 4u);
+  for (const BetaNode& node : net.betas()) {
+    for (const JoinTest& test : node.tests) {
+      ASSERT_LT(test.left_slot, slots.size());
+      ASSERT_LT(test.right_slot, slots.size());
+      EXPECT_EQ(slots[test.left_slot], test.left_attr);
+      EXPECT_EQ(slots[test.right_slot], test.right_attr);
+    }
+  }
+  for (const ProductionNode& p : net.production_nodes()) {
+    EXPECT_EQ(net.specificity(p.id), net.production(p.id).specificity())
+        << p.name;
+  }
 }
 
 TEST(Network, BindMakesVariableUsable) {
