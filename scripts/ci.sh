@@ -20,7 +20,7 @@
 #                        suites in tests/trace_io_test.cpp)
 #   src/rete/  >= 75%  — match engine, TREAT rival and the naive oracle
 #   src/pmatch/ >= 85% — BSP parallel matcher; the model checker drives
-#                        every mailbox/merge ordering the seam exposes
+#                        every round/merge ordering the seam exposes
 #   src/serve/ >= 75%  — serving engine; the engine/isolation suites and
 #                        the CLI smoke cover the hot paths, some shutdown
 #                        and rejection plumbing is cold
@@ -69,7 +69,7 @@ if ./build/tools/mpps selfcheck --rounds 5 --seed 1 \
 fi
 
 echo "=== tier-1: pmatch model checker (exhaustive corpus + planted fault) ==="
-# Every distinguishable mailbox/merge ordering of every corpus scenario
+# Every distinguishable round/merge ordering of every corpus scenario
 # must agree with the serial engine (docs/TESTING.md, "Model checker").
 ./build/tools/mpps check --exhaustive
 # The checker must also CATCH a planted merge-order fault (exit 1) — the
@@ -204,12 +204,13 @@ echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/
 # build and run just those targets.  sweep_tests includes scenarios whose
 # baseline is another scenario's trace, run at 1, 4 and 9 jobs.
 # pmatch_tests includes the differential oracle at 1/2/4/8 worker
-# threads, the round-batched oracle and mailbox suites
-# (pmatch_batch_test / pmatch_mailbox_test — fused phases stress the
-# sharded mailbox and the cross-round merge paths hardest), plus the
-# profiler integration and WorkerStats suites (pmatch_profile_test /
-# pmatch_stats_test), so this is where engine races — including
-# profiler-lane writes — would surface.  serve_tests adds the serving
+# threads, the round-batched oracle (pmatch_batch_test — fused phases
+# put the most items through each round's outboxes, which one worker
+# fills and another gathers across the single round barrier, and stress
+# the cross-round merge hardest), plus the profiler integration and
+# WorkerStats suites (pmatch_profile_test / pmatch_stats_test), so this
+# is where engine races — including profiler-lane writes — would
+# surface.  serve_tests adds the serving
 # engine on top: concurrent client threads racing through the admission
 # queue into fused phases, including the adversarial isolation suite at
 # 1/2/4/8 match threads (tests/serve_isolation_test.cpp requires a

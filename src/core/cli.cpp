@@ -120,7 +120,8 @@ const std::vector<CommandSpec>& commands() {
             "fuse up to N WM changes into one BSP phase (default 1;\n"
             "requires --match-threads)"},
            {"--match-mailbox", "N", "1024",
-            "per-worker mailbox backpressure threshold (default 1024;\n"
+            "items a worker may receive from others per round before\n"
+            "they count as mailbox overflows (default 1024; never blocks;\n"
             "requires --match-threads)"},
            {"--profile", nullptr, nullptr,
             "attribute each worker's wall time to match/mailbox/barrier/"
@@ -250,7 +251,7 @@ const std::vector<CommandSpec>& commands() {
            kMetricsOut,
        }},
       {"check", nullptr,
-       "model-check the parallel match engine: explore the mailbox-drain\n"
+       "model-check the parallel match engine: explore the round-item\n"
        "and merge orderings of every BSP round (partial-order reduced)\n"
        "and assert conflict-set equality against the serial engine on\n"
        "every explored schedule (exit 0 clean, 1 on any mismatch or a\n"

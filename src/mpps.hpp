@@ -241,7 +241,8 @@ class ParallelOptionsBuilder {
     options_.assignment = std::move(map);
     return *this;
   }
-  /// Mailbox backpressure threshold.
+  /// Items a worker may receive from other workers in one round before
+  /// they count as mailbox overflows; never blocks.
   ParallelOptionsBuilder& mailbox_capacity(std::size_t n) {
     options_.mailbox_capacity = n;
     return *this;

@@ -98,7 +98,7 @@ ProfileReport Profiler::report(std::size_t top_k_buckets) const {
     for (const ProfSpan& span : lane.spans()) {
       const auto cat = static_cast<std::size_t>(span.category);
       if (span.category == ProfCategory::Match) {
-        // `aux` is the time spent inside cross-worker mailbox pushes,
+        // `aux` is the time spent inside cross-worker pushes,
         // nested in the match loop; re-attribute it so categories are
         // disjoint.
         const std::uint64_t enqueue = std::min(span.aux, span.dur_ns);

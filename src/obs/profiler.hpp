@@ -2,7 +2,7 @@
 // engines: where `Tracer` records *simulated* time, this subsystem
 // attributes *real* nanoseconds of every BSP phase to a fixed category
 // set — match compute, mailbox enqueue/dequeue, barrier wait, round
-// merge/sort, conflict-set update — per worker and per round.  It is the
+// merge, conflict-set update — per worker and per round.  It is the
 // measured-engine counterpart of the paper's Table 5-1 cost split
 // (match / send / recv / overhead per processor), and the per-bucket load
 // accounting it keeps is the prerequisite for online bucket rebalancing.
@@ -37,15 +37,15 @@ namespace mpps::obs {
 class Tracer;
 
 /// The fixed attribution categories.  `Match` spans carry the nanoseconds
-/// spent inside cross-worker mailbox pushes as `aux`; reports subtract
-/// that out, so the six categories are disjoint and sum to at most the
-/// measured wall time.
+/// spent inside cross-worker pushes as `aux`; reports subtract that out,
+/// so the six categories are disjoint and sum to at most the measured
+/// wall time.
 enum class ProfCategory : std::uint8_t {
   Match = 0,           // alpha scan + join work on owned buckets
-  MailboxEnqueue,      // pushing children into other workers' mailboxes
-  MailboxDequeue,      // draining the own mailbox at a round boundary
-  BarrierWait,         // parked at the round / exchange barriers
-  RoundMerge,          // (sender, seq) sort + local-child merge per round
+  MailboxEnqueue,      // appending children to other workers' outboxes
+  MailboxDequeue,      // gathering the own round from every outbox
+  BarrierWait,         // parked at the round barrier
+  RoundMerge,          // a schedule controller's reorder of the round
   ConflictUpdate,      // control-thread deterministic merge + conflict set
 };
 inline constexpr std::size_t kProfCategories = 6;
@@ -67,9 +67,10 @@ struct ProfSpan {
   std::uint32_t round = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
-  /// Category-specific payload: Match → ns inside mailbox pushes (to be
-  /// re-attributed to MailboxEnqueue), MailboxDequeue → items drained,
-  /// RoundMerge → merged round size, ConflictUpdate → records merged.
+  /// Category-specific payload: Match → ns inside cross-worker pushes (to
+  /// be re-attributed to MailboxEnqueue), MailboxDequeue → items received
+  /// from other workers, RoundMerge → round size, ConflictUpdate →
+  /// records merged.
   std::uint64_t aux = 0;
 };
 

@@ -121,14 +121,13 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       owner_map_(assignment_.map_for(0)),
       conflict_([&net](ProductionId pid) { return net.specificity(pid); }),
       wmes_(net.slot_attrs()),
-      round_barrier_(static_cast<std::ptrdiff_t>(threads_)),
-      exchange_barrier_(static_cast<std::ptrdiff_t>(threads_),
-                        ExchangeCompletion{this}),
+      round_barrier_(static_cast<std::ptrdiff_t>(threads_),
+                     RoundCompletion{this}),
       mirror_(options_.metrics) {
   workers_.reserve(threads_);
   for (std::uint32_t i = 0; i < threads_; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        i, wmes_, num_buckets_, options_.mailbox_capacity, threads_));
+    workers_.push_back(
+        std::make_unique<Worker>(i, wmes_, num_buckets_, threads_));
   }
   if (options_.profiler != nullptr) {
     options_.profiler->attach(threads_, num_buckets_);
@@ -198,25 +197,20 @@ void ParallelEngine::run_worker_phase(Worker& w) {
   // Every clock reading ends one segment and starts the next, so the
   // profiler's category spans tile the phase wall (the unattributed
   // remainder is only loop glue).  Without a profiler the loop still
-  // takes four readings per round: busy/idle need them.
+  // takes three readings per round: busy/idle need them.
   const auto phase_start = Clock::now();
   std::uint64_t idle_ns = 0;
-  const auto wait = [&](auto& barrier, Clock::time_point wait_start) {
-    barrier.arrive_and_wait();
-    const auto end = Clock::now();
-    idle_ns += ns_between(wait_start, end);
-    if (w.lane != nullptr) {
-      w.lane->span(obs::ProfCategory::BarrierWait, w.round,
-                   w.lane->stamp(wait_start), w.lane->stamp(end));
-    }
-    return end;
-  };
   auto seg_start = phase_start;
   while (true) {
-    seg_start = wait(round_barrier_, match_step(w, seg_start));
+    const auto wait_start = match_step(w, seg_start);
+    round_barrier_.arrive_and_wait();
+    seg_start = Clock::now();
+    idle_ns += ns_between(wait_start, seg_start);
+    if (w.lane != nullptr) {
+      w.lane->span(obs::ProfCategory::BarrierWait, w.round,
+                   w.lane->stamp(wait_start), w.lane->stamp(seg_start));
+    }
     seg_start = exchange_step(w, seg_start);
-    pending_total_.fetch_add(w.next.size(), std::memory_order_relaxed);
-    seg_start = wait(exchange_barrier_, seg_start);
     if (phase_done_) break;
     std::swap(w.current, w.next);
     ++w.round;
@@ -231,22 +225,19 @@ void ParallelEngine::run_cooperative_phase() {
   // step's, which a controller picks when one is attached.  A worker is
   // busy during its own steps and idle during the others'.
   const auto phase_start = Clock::now();
-  std::vector<std::uint64_t> busy(threads_, 0);
   auto t = phase_start;
   const auto step_all = [&](auto step) {
     for (auto& wp : workers_) {
       const auto end = (this->*step)(*wp, t);
-      busy[wp->index] += ns_between(t, end);
+      wp->step_ns += ns_between(t, end);
       t = end;
     }
   };
   while (true) {
     step_all(&ParallelEngine::match_step);
-    ++rounds_executed_;
+    on_round_end();
     step_all(&ParallelEngine::exchange_step);
-    std::size_t pending = 0;
-    for (const auto& wp : workers_) pending += wp->next.size();
-    if (pending == 0) break;
+    if (phase_done_) break;
     for (auto& wp : workers_) {
       std::swap(wp->current, wp->next);
       ++wp->round;
@@ -254,13 +245,13 @@ void ParallelEngine::run_cooperative_phase() {
   }
   const std::uint64_t wall = ns_between(phase_start, t);
   for (auto& wp : workers_) {
-    end_worker_phase(*wp, phase_start, t, wall - busy[wp->index]);
+    end_worker_phase(*wp, phase_start, t, wall - wp->step_ns);
   }
 }
 
 ParallelEngine::Clock::time_point ParallelEngine::match_step(
     Worker& w, Clock::time_point start) {
-  w.emit_seq = 0;
+  w.routed = 0;
   w.prof_enqueue_ns = 0;
   if (w.error == nullptr) {
     try {
@@ -279,36 +270,36 @@ ParallelEngine::Clock::time_point ParallelEngine::match_step(
 
 ParallelEngine::Clock::time_point ParallelEngine::exchange_step(
     Worker& w, Clock::time_point start) {
-  ScheduleControl* const sched = options_.schedule;
   recycle_items(w, w.next);
-  std::size_t drained = 0;
-  if (sched == nullptr) {
-    drained = w.mailbox.drain_into(w.next);
-  } else {
-    std::vector<std::uint32_t> slot_order;  // the mailbox validates it
-    sched->drain_order(w.index, w.round, threads_, slot_order);
-    drained = w.mailbox.drain_into(w.next, slot_order);
+  // Worker order is sender order, and each box is one sender's children
+  // in emission order: `next` lists the round by (sender, emission).
+  std::uint64_t received = 0;
+  for (const auto& sender : workers_) {
+    std::vector<WorkItem>& box = sender->outbox[w.round & 1][w.index];
+    if (sender->index != w.index) received += box.size();
+    for (WorkItem& item : box) w.next.push_back(std::move(item));
+    box.clear();
   }
-  w.drain_depths.push_back(drained);
-  auto drain_end = start;
+  w.received.push_back(received);
+  w.wstats.max_mailbox_depth = std::max(w.wstats.max_mailbox_depth, received);
+  if (received > options_.mailbox_capacity) {
+    w.wstats.mailbox_overflows += received - options_.mailbox_capacity;
+  }
+  auto gather_end = start;
   if (w.lane != nullptr) {
-    drain_end = Clock::now();
+    gather_end = Clock::now();
     w.lane->span(obs::ProfCategory::MailboxDequeue, w.round,
-                 w.lane->stamp(start), w.lane->stamp(drain_end), drained);
+                 w.lane->stamp(start), w.lane->stamp(gather_end), received);
   }
-  for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
-  w.self_next.clear();
-  if (sched == nullptr) {
-    std::sort(w.next.begin(), w.next.end(),
-              [](const WorkItem& a, const WorkItem& b) {
-                return a.sender != b.sender ? a.sender < b.sender
-                                            : a.seq < b.seq;
-              });
-  } else if (!w.next.empty()) {
+  if (ScheduleControl* const sched = options_.schedule;
+      sched != nullptr && !w.next.empty()) {
     std::vector<ScheduledOp> ops;
     ops.reserve(w.next.size());
-    for (const WorkItem& it : w.next) {
-      ops.push_back(ScheduledOp{it.sender, it.seq, it.bucket, item_hash(it)});
+    std::uint64_t seq = 0;  // position in the sender's stream
+    for (std::size_t i = 0; i < w.next.size(); ++i) {
+      const WorkItem& it = w.next[i];
+      seq = i > 0 && w.next[i - 1].sender == it.sender ? seq + 1 : 0;
+      ops.push_back(ScheduledOp{it.sender, seq, it.bucket, item_hash(it)});
     }
     std::vector<std::uint32_t> order;
     sched->order_round(w.index, w.round + 1, ops, order);
@@ -318,14 +309,15 @@ ParallelEngine::Clock::time_point ParallelEngine::exchange_step(
   const auto end = Clock::now();
   if (w.lane != nullptr) {
     w.lane->span(obs::ProfCategory::RoundMerge, w.round,
-                 w.lane->stamp(drain_end), w.lane->stamp(end), w.next.size());
+                 w.lane->stamp(gather_end), w.lane->stamp(end), w.next.size());
   }
   return end;
 }
 
-void ParallelEngine::on_exchange() noexcept {
-  phase_done_ = pending_total_.load(std::memory_order_relaxed) == 0;
-  pending_total_.store(0, std::memory_order_relaxed);
+void ParallelEngine::on_round_end() noexcept {
+  std::uint64_t routed = 0;
+  for (const auto& w : workers_) routed += w->routed;
+  phase_done_ = routed == 0;
   ++rounds_executed_;
 }
 
@@ -353,14 +345,14 @@ std::uint64_t ParallelEngine::delta_identity_hash(const ConflictDelta& d) {
 void ParallelEngine::begin_worker_phase(Worker& w) {
   w.records.clear();
   w.deltas.clear();
-  w.drain_depths.clear();
+  w.received.clear();
   recycle_items(w, w.current);
   recycle_items(w, w.next);
-  recycle_items(w, w.self_next);
   w.pool_limit = std::max(w.pool_limit, w.taken);
   w.taken = 0;
   w.provisional_counter = 0;
   w.round = 0;
+  w.step_ns = 0;
 }
 
 void ParallelEngine::end_worker_phase(Worker& w, Clock::time_point start,
@@ -382,7 +374,6 @@ ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
   item.token.wmes.clear();
   item.operands.clear();
   item.parent = 0;
-  item.seq = 0;
   item.wme = WmeId{};
   return item;
 }
@@ -434,7 +425,6 @@ struct ParallelEngine::WorkerSink {
   void successor(NodeId node, std::span<const WmeId> token, Tag tag) {
     WorkItem child = take_item(w);
     child.parent = parent;
-    child.seq = w.emit_seq++;
     child.sender = w.index;
     child.node = node;
     child.side = Side::Left;
@@ -485,19 +475,21 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
 
 void ParallelEngine::route(Worker& w, WorkItem item) {
   const std::uint32_t owner = owner_map_[item.bucket];
+  std::vector<WorkItem>& box = w.outbox[w.round & 1][owner];
+  ++w.routed;
   if (owner == w.index) {
     ++w.wstats.local_deliveries;
-    w.self_next.push_back(std::move(item));
+    box.push_back(std::move(item));
   } else {
     ++w.wstats.messages_sent;
     if (w.lane == nullptr) {
-      workers_[owner]->mailbox.push(w.index, std::move(item));
+      box.push_back(std::move(item));
     } else {
       // Cross-worker pushes nest inside the match loop; the accumulated
       // time rides on the Match span's aux and reports re-attribute it
       // to MailboxEnqueue so the categories stay disjoint.
       const auto push_start = obs::ProfLane::now();
-      workers_[owner]->mailbox.push(w.index, std::move(item));
+      box.push_back(std::move(item));
       w.prof_enqueue_ns += ns_between(push_start, obs::ProfLane::now());
     }
   }
@@ -571,7 +563,6 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
   // successor's root has its operands read once and is handed to its
   // bucket's owner, so every owner's round 0 lists its roots in change
   // order.
-  std::vector<rete::Value> operands;  // reused by every root
   deleted_.clear();
   for (std::size_t c = 0; c < count; ++c) {
     const ops5::WmeChange& change = changes[c];
@@ -591,7 +582,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
         rete::update_conflict_set(conflict_, pid, {&root, 1}, tag);
       }
       for (const AlphaSuccessor& succ : alpha.successors) {
-        seed_root(root, succ, tag, operands);
+        seed_root(root, succ, tag, root_operands_);
       }
     }
   }
@@ -668,31 +659,29 @@ void ParallelEngine::merge_phase() {
   // parents must be remapped before their children.
   ScheduleControl* const sched = options_.schedule;
   remap_.clear();
-  std::vector<std::size_t> rec_cursor(threads_, 0);
-  std::vector<std::size_t> delta_cursor(threads_, 0);
-  if (listener_ == nullptr) {
-    // No one sees the records: only the ids they would take advance.
-    for (std::uint32_t i = 0; i < threads_; ++i) {
-      rec_cursor[i] = workers_[i]->records.size();
-      next_activation_ += rec_cursor[i];
+  for (auto& w : workers_) {
+    w->merged_records = 0;
+    w->merged_deltas = 0;
+    if (listener_ == nullptr) {
+      // No one sees the records: only the ids they would take advance.
+      w->merged_records = w->records.size();
+      next_activation_ += w->records.size();
     }
   }
-  std::vector<const ConflictDelta*> group;
   std::vector<ScheduledOp> ops;
   std::vector<std::uint32_t> order;
   auto all_merged = [&] {
-    for (std::uint32_t i = 0; i < threads_; ++i) {
-      if (rec_cursor[i] < workers_[i]->records.size()) return false;
-      if (delta_cursor[i] < workers_[i]->deltas.size()) return false;
+    for (const auto& w : workers_) {
+      if (w->merged_records < w->records.size()) return false;
+      if (w->merged_deltas < w->deltas.size()) return false;
     }
     return true;
   };
   for (std::uint32_t round = 0; !all_merged(); ++round) {
-    for (std::uint32_t i = 0; i < threads_; ++i) {
-      auto& records = workers_[i]->records;
-      while (rec_cursor[i] < records.size() &&
-             records[rec_cursor[i]].round == round) {
-        PendingRecord& pr = records[rec_cursor[i]++];
+    for (auto& w : workers_) {
+      while (w->merged_records < w->records.size() &&
+             w->records[w->merged_records].round == round) {
+        PendingRecord& pr = w->records[w->merged_records++];
         ActivationRecord rec = pr.rec;
         rec.id = ActivationId{next_activation_++};
         remap_.emplace(pr.provisional_id, rec.id);
@@ -702,28 +691,28 @@ void ParallelEngine::merge_phase() {
         if (listener_ != nullptr) listener_->on_activation(rec);
       }
     }
-    group.clear();
+    merge_group_.clear();
     ops.clear();
-    for (std::uint32_t i = 0; i < threads_; ++i) {
-      const auto& deltas = workers_[i]->deltas;
-      for (std::uint64_t seq = 0; delta_cursor[i] < deltas.size() &&
-                                  deltas[delta_cursor[i]].round == round;
+    for (auto& w : workers_) {
+      for (std::uint64_t seq = 0; w->merged_deltas < w->deltas.size() &&
+                                  w->deltas[w->merged_deltas].round == round;
            ++seq) {
-        const ConflictDelta& d = deltas[delta_cursor[i]++];
-        group.push_back(&d);
+        const ConflictDelta& d = w->deltas[w->merged_deltas++];
+        merge_group_.push_back(&d);
         if (sched != nullptr) {
           ops.push_back(ScheduledOp{
-              i, seq, static_cast<std::uint32_t>(delta_dependence_hash(d)),
+              w->index, seq,
+              static_cast<std::uint32_t>(delta_dependence_hash(d)),
               delta_identity_hash(d)});
         }
       }
     }
-    if (sched != nullptr && !group.empty()) {
+    if (sched != nullptr && !merge_group_.empty()) {
       sched->order_merge(round, ops, order);
-      require_permutation(order, group.size(), "order_merge");
-      reorder_by(group, order);
+      require_permutation(order, merge_group_.size(), "order_merge");
+      reorder_by(merge_group_, order);
     }
-    for (const ConflictDelta* d : group) {
+    for (const ConflictDelta* d : merge_group_) {
       rete::update_conflict_set(conflict_, d->pid, d->token.wmes, d->tag);
     }
   }
@@ -746,9 +735,6 @@ std::vector<WorkerStats> ParallelEngine::worker_stats() const {
   out.reserve(threads_);
   for (const auto& w : workers_) {
     WorkerStats s = w->wstats;
-    const auto mb = w->mailbox.stats();
-    s.max_mailbox_depth = mb.max_depth;
-    s.mailbox_overflows = mb.overflows;
     s.pooled_items = w->pool.size();
     out.push_back(s);
   }
@@ -780,7 +766,7 @@ void ParallelEngine::flush_metrics() {
   instr_.phases->add(phases_ - flushed_phases_);
   instr_.changes->add(changes_ - flushed_changes_);
   for (const auto& w : workers_) {
-    for (std::uint64_t depth : w->drain_depths) {
+    for (std::uint64_t depth : w->received) {
       instr_.mailbox_depth->observe(static_cast<std::int64_t>(depth));
     }
   }

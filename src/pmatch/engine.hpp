@@ -2,35 +2,39 @@
 // shared-memory threads instead of simulated from a trace.  N workers act
 // as match processors; the bucket space of the global hashed token
 // memories is partitioned across them with the same `sim::Assignment`
-// policies the simulator maps with; and token activations travel between
-// workers through bounded MPSC mailboxes (the "messages").  A cycle
-// barrier at conflict-set assembly hands the merged conflict set back to
-// the Interpreter's match-resolve-act loop.
+// policies the simulator maps with; and each token activation travels as
+// one message from the worker that made it to its bucket's owner, so a
+// receiver sees one FIFO stream per sender (§3.2).  A cycle barrier at
+// conflict-set assembly hands the merged conflict set back to the
+// Interpreter's match-resolve-act loop.
 //
 // Execution model (docs/PARALLEL_MATCH.md has the full walkthrough):
 // WM changes run as bulk-synchronous phases.  The control thread alpha-
 // scans each change once, keys and buckets every constant-test root, and
 // hands it to its bucket's owner as round 0.  Each round is then one
-// match step per worker (process the round's items: store, join, route
-// the children) and one exchange step per worker (drain the mailbox,
-// append the local children, order the next round by (sender, sequence)
-// or by the schedule controller).  With `threads > 1` and no controller,
-// worker threads run the steps between two barriers; otherwise the
-// calling thread runs every worker's steps in index order, and no thread
-// is spawned.  Because an activation touches exactly one left/right
-// bucket pair and each pair has one owner, per-bucket state never needs a
-// lock; because rounds are merged in deterministic order, the conflict
-// set, trace records and activation ids are reproducible for a fixed
-// thread count — and at 1 thread with max_batch == 1 (the default) they
-// are byte-identical to the serial `rete::Engine` (asserted in
-// tests/pmatch_determinism_test.cpp).
+// match step per worker (process the round's items: store, join, append
+// each child to the worker's outbox for the child's owner) and, after
+// the round barrier, one exchange step per worker (gather every worker's
+// outbox for this worker in worker order — sender-major, emission order
+// within a sender — and let the schedule controller, if any, reorder
+// it).  Outboxes alternate by round parity, so a worker can fill round
+// r + 1's while another still gathers round r's: one barrier per round.
+// With `threads > 1` and no controller, worker threads run the steps;
+// otherwise the calling thread runs every worker's steps in index order,
+// and no thread is spawned.  Because an activation touches exactly one
+// left/right bucket pair and each pair has one owner, per-bucket state
+// never needs a lock; because rounds are gathered and merged in
+// deterministic order, the conflict set, trace records and activation ids
+// are reproducible for a fixed thread count — and at 1 thread with
+// max_batch == 1 (the default) they are byte-identical to the serial
+// `rete::Engine` (asserted in tests/pmatch_determinism_test.cpp).
 //
 // Batching (the paper's multiple-modify effect, §4): with
 // `ParallelOptions::max_batch > 1`, `process_changes` runs up to
 // max_batch consecutive WM changes as ONE phase — their constant-test
 // roots all seed round 0 in change order, so the batch shares the
-// per-round barriers and the (sender, seq) sorts instead of paying them
-// once per change.  The conflict set after a batched phase equals the
+// per-round barriers and gathers instead of paying them once per
+// change.  The conflict set after a batched phase equals the
 // serial engine's after the same changes (as a set: join candidates
 // share a bucket, so the +/- deltas of any one instantiation come from
 // one worker in emission order and the round-major merge preserves it) —
@@ -45,7 +49,7 @@
 // deletes.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <barrier>
 #include <chrono>
 #include <condition_variable>
@@ -64,7 +68,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/ops5/wme.hpp"
-#include "src/pmatch/mailbox.hpp"
 #include "src/pmatch/schedule.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
@@ -96,7 +99,9 @@ struct ParallelOptions {
   /// worker-owned memories across cycles, so the partition cannot migrate
   /// mid-run.
   std::optional<sim::Assignment> assignment;
-  /// Mailbox backpressure threshold (see mailbox.hpp); must be positive.
+  /// Items from other workers per round beyond which receipts count as
+  /// overflows (`WorkerStats::mailbox_overflows`); never blocks.  Must be
+  /// positive.
   std::size_t mailbox_capacity = 1024;
   /// Upper bound on WM changes fused into one BSP phase by
   /// `process_changes`.  1 (default) keeps the legacy one-change-one-phase
@@ -120,8 +125,8 @@ struct ParallelOptions {
   obs::Profiler* profiler = nullptr;
   /// Optional schedule controller (not owned; must outlive the engine).
   /// Non-null makes the calling thread run every worker's steps, as at
-  /// one thread, whatever `threads` is, and the exchange step asks the
-  /// controller for each admissible ordering decision instead of sorting
+  /// one thread, whatever `threads` is, and the exchange step and the
+  /// merge ask the controller for each admissible ordering decision
   /// (src/pmatch/schedule.hpp).  This is the seam the `src/mc` model
   /// checker drives.  Controlled mode is for exploring orderings, not for
   /// measurement: it excludes `profiler`.
@@ -143,8 +148,8 @@ struct WorkerStats {
   std::uint64_t activations = 0;        // items this worker processed
   std::uint64_t messages_sent = 0;      // children routed to other workers
   std::uint64_t local_deliveries = 0;   // children kept on this worker
-  std::uint64_t max_mailbox_depth = 0;
-  std::uint64_t mailbox_overflows = 0;
+  std::uint64_t max_mailbox_depth = 0;  // most items received in a round
+  std::uint64_t mailbox_overflows = 0;  // received beyond mailbox_capacity
   std::uint64_t pooled_items = 0;       // recycled work items held for reuse
 };
 
@@ -219,11 +224,10 @@ class ParallelEngine final : public rete::MatchEngine {
   [[nodiscard]] std::uint64_t changes() const { return changes_; }
 
  private:
-  /// One activation in flight: the unit a mailbox carries.
+  /// One activation in flight: the unit an outbox carries.
   struct WorkItem {
     std::uint64_t parent = 0;  // provisional id; 0 ⇒ constant-test root
-    std::uint64_t seq = 0;     // per-(sender, round) emission index
-    std::uint32_t sender = 0;
+    std::uint32_t sender = 0;  // the emitting worker (a root's owner)
     NodeId node;
     rete::Side side = rete::Side::Left;
     rete::Tag tag = rete::Tag::Plus;
@@ -253,39 +257,47 @@ class ParallelEngine final : public rete::MatchEngine {
   struct Worker {
     std::uint32_t index = 0;
     rete::JoinKernel join;  // this worker's buckets and their counters
-    Mailbox<WorkItem> mailbox;
     // Per-phase state, touched only by the thread running the worker's
     // steps during a phase and by the control thread between phases.
     std::vector<WorkItem> current;
     std::vector<WorkItem> next;
-    std::vector<WorkItem> self_next;  // children staying on this worker
+    // Round r's children by destination worker, in emission order, in
+    // outbox[r & 1]; each destination gathers its own after the round
+    // barrier.  Round r + 1 fills the other parity, so a worker that has
+    // moved on never writes a box a slower worker is still gathering, and
+    // every gather of round r ends before round r + 1's barrier, which
+    // comes before round r + 2 writes outbox[r & 1] again.
+    std::array<std::vector<std::vector<WorkItem>>, 2> outbox;
+    std::uint64_t routed = 0;  // children routed this round
     std::vector<WorkItem> pool;  // retired items recycled to kill per-
                                  // activation token/key allocations
     std::uint64_t taken = 0;       // items taken this phase
     std::uint64_t pool_limit = 0;  // most items taken in any one phase
     std::vector<PendingRecord> records;
     std::vector<ConflictDelta> deltas;
-    std::vector<std::uint64_t> drain_depths;  // one sample per round
+    // Items gathered from other workers, one sample per round.
+    std::vector<std::uint64_t> received;
     std::uint64_t provisional_counter = 0;
-    std::uint64_t emit_seq = 0;
     std::uint32_t round = 0;
+    std::uint64_t step_ns = 0;  // cooperative loop: this phase's steps
+    std::size_t merged_records = 0;   // merge cursors into records
+    std::size_t merged_deltas = 0;    // and deltas
     WorkerStats wstats;  // cumulative across phases
     obs::ProfLane* lane = nullptr;    // null ⇒ profiling off
-    std::uint64_t prof_enqueue_ns = 0;  // per-round mailbox-push time
+    std::uint64_t prof_enqueue_ns = 0;  // per-round cross-worker push time
     std::exception_ptr error;  // first match-step failure this phase
     std::thread thread;        // only with worker threads
 
     Worker(std::uint32_t idx, const rete::WmeTable& wmes,
-           std::uint32_t num_buckets, std::size_t mailbox_capacity,
-           std::uint32_t producers)
-        : index(idx),
-          join(wmes, num_buckets),
-          mailbox(mailbox_capacity, producers) {}
+           std::uint32_t num_buckets, std::uint32_t workers)
+        : index(idx), join(wmes, num_buckets) {
+      for (auto& boxes : outbox) boxes.resize(workers);
+    }
   };
 
-  struct ExchangeCompletion {
+  struct RoundCompletion {
     ParallelEngine* engine;
-    void operator()() noexcept { engine->on_exchange(); }
+    void operator()() noexcept { engine->on_round_end(); }
   };
 
   /// The join kernel's sink on a worker: a child becomes a pooled
@@ -323,18 +335,24 @@ class ParallelEngine final : public rete::MatchEngine {
   void seed_root(WmeId root, const rete::AlphaSuccessor& succ, rete::Tag tag,
                  std::vector<rete::Value>& operands);
   /// The two ways to run a phase's rounds.  A worker thread runs its own
-  /// steps between the round and exchange barriers; the cooperative loop
-  /// runs every worker's steps on the calling thread, in index order.
+  /// match step, waits at the round barrier, then runs its exchange step;
+  /// the cooperative loop runs every worker's match step, then every
+  /// worker's exchange step, on the calling thread, in index order.
   void run_worker_phase(Worker& w);
   void run_cooperative_phase();
   /// The two halves of one worker's round, shared by both loops.  Each
   /// starts at `start` (the clock reading that ended the worker's previous
   /// segment), records its profiler spans, and returns its own ending
-  /// clock reading.  The match step processes `current` and keeps the
-  /// first failure in `error`; the exchange step fills `next` with the
-  /// next round's items in processing order.
+  /// clock reading.  The match step processes `current` into the outboxes
+  /// and keeps the first failure in `error`; the exchange step fills
+  /// `next` with the next round's items in processing order.
   Clock::time_point match_step(Worker& w, Clock::time_point start);
   Clock::time_point exchange_step(Worker& w, Clock::time_point start);
+  /// Ends a round once every match step has: the phase is done when no
+  /// worker routed a child.  Worker threads run it as the round barrier's
+  /// completion step; the cooperative loop calls it between the match and
+  /// exchange steps.
+  void on_round_end() noexcept;
   /// Resets a worker's per-phase state and recycles its last phase's
   /// items; every phase starts with it.
   static void begin_worker_phase(Worker& w);
@@ -350,7 +368,6 @@ class ParallelEngine final : public rete::MatchEngine {
   static void recycle_items(Worker& w, std::vector<WorkItem>& items);
   void process_item(Worker& w, const WorkItem& item);
   void route(Worker& w, WorkItem item);
-  void on_exchange() noexcept;
 
   void merge_phase();
   /// Content hashes feeding ScheduledOp: `item_hash` identifies a round
@@ -377,6 +394,7 @@ class ParallelEngine final : public rete::MatchEngine {
   rete::ConflictSet conflict_;
   rete::WmeTable wmes_;
   std::vector<WmeId> deleted_;  // this phase's deletes, erased at its end
+  std::vector<rete::Value> root_operands_;  // seed_root's scratch
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // Phase handshake (worker threads only): control seeds round 0 and
@@ -390,17 +408,16 @@ class ParallelEngine final : public rete::MatchEngine {
   bool stop_ = false;
 
   // Round machinery.  `phase_done_`/`rounds_executed_` are written only by
-  // the exchange barrier's completion step, which std::barrier runs
-  // exactly once per round with every worker blocked — the barrier
-  // sequences those writes against all worker reads.
-  std::barrier<> round_barrier_;
-  std::barrier<ExchangeCompletion> exchange_barrier_;
-  std::atomic<std::uint64_t> pending_total_{0};
+  // `on_round_end`.  With worker threads std::barrier runs it exactly once
+  // per round with every worker blocked, so the barrier sequences those
+  // writes against all worker reads.
+  std::barrier<RoundCompletion> round_barrier_;
   bool phase_done_ = false;
   std::uint64_t rounds_executed_ = 0;
 
   std::uint64_t next_activation_ = 1;
   std::unordered_map<std::uint64_t, ActivationId> remap_;
+  std::vector<const ConflictDelta*> merge_group_;  // one round's deltas
   rete::EngineStats stats_;
   rete::StatsMirror mirror_;
   std::vector<WorkerStats> flushed_workers_;

@@ -5,11 +5,10 @@
 // each point where a real scheduler would have freedom, which of the
 // admissible orders to take:
 //
-//   * `drain_order`   — the order a worker's mailbox slots are drained
-//                       (one FIFO stream per producing worker);
 //   * `order_round`   — the processing order of one worker's incoming
-//                       round, replacing the free-running engine's
-//                       (sender, seq) sort;
+//                       round: its items arrive as one FIFO stream per
+//                       sending worker, and the free-running engine takes
+//                       the streams one after another in worker order;
 //   * `order_merge`   — the order one round's conflict-set deltas are
 //                       applied during the deterministic merge.
 //
@@ -41,7 +40,7 @@ namespace mpps::pmatch {
 /// interchangeable, so exploring both orders is redundant.
 struct ScheduledOp {
   std::uint32_t sender = 0;   // emitting worker
-  std::uint64_t seq = 0;      // emission index within (sender, round)
+  std::uint64_t seq = 0;      // position in the sender's stream
   std::uint32_t bucket = 0;   // dependence class (see above)
   std::uint64_t op_hash = 0;  // content identity
 };
@@ -54,26 +53,11 @@ class ScheduleControl {
   /// engine so far.
   virtual void begin_phase(std::uint64_t phase_index) { (void)phase_index; }
 
-  /// Order in which `worker` drains its mailbox's producer slots when
-  /// entering `round`.  Must fill `order` with a permutation of
-  /// [0, producers).  The default is slot-major (the free engine's order);
-  /// any order is admissible because each slot is one sender's FIFO
-  /// stream and `order_round` chooses the interleaving anyway.
-  virtual void drain_order(std::uint32_t worker, std::uint32_t round,
-                           std::uint32_t producers,
-                           std::vector<std::uint32_t>& order) {
-    (void)worker;
-    (void)round;
-    order.clear();
-    order.reserve(producers);
-    for (std::uint32_t p = 0; p < producers; ++p) order.push_back(p);
-  }
-
   /// Processing order for `worker`'s round `round` (round >= 1; round 0 is
   /// the constant-test scan, where the real machine has no scheduler
   /// freedom).  `ops[i]` describes the item at index i of the incoming
-  /// vector; within one sender, items appear in emission (seq) order.
-  /// Must fill `order` with a permutation of [0, ops.size()).
+  /// vector, which lists each sender's stream in emission order, senders
+  /// ascending.  Must fill `order` with a permutation of [0, ops.size()).
   virtual void order_round(std::uint32_t worker, std::uint32_t round,
                            std::span<const ScheduledOp> ops,
                            std::vector<std::uint32_t>& order) = 0;

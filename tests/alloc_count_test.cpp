@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/ops5/parser.hpp"
+#include "src/pmatch/engine.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
 #include "src/rete/network.hpp"
@@ -109,6 +110,25 @@ std::uint64_t second_pass_allocations(
   return allocations;
 }
 
+/// The same second pass through a parallel engine at `threads`, one
+/// change per phase.
+std::uint64_t parallel_second_pass_allocations(
+    std::string_view source, const std::vector<ops5::WmeChange>& changes,
+    std::uint32_t threads) {
+  const rete::Network net = rete::Network::compile(ops5::parse_program(source));
+  pmatch::ParallelOptions popts;
+  popts.threads = threads;
+  pmatch::ParallelEngine engine(net, popts);
+  const auto pass = [&] {
+    for (const ops5::WmeChange& change : changes) engine.process_change(change);
+  };
+  pass();  // warm-up: memories, item pools and phase scratch reach capacity
+  const std::uint64_t allocations = allocations_in(pass);
+  EXPECT_EQ(engine.phases(), 2 * changes.size());
+  EXPECT_TRUE(engine.conflict_set().empty());
+  return allocations;
+}
+
 TEST(Allocations, SteadyStateJoinsAndWmeTableAllocateNothing) {
   const std::vector<ops5::WmeChange> changes = adds_then_deletes();
   // Every a joins the three b of its key with another v, and the 96 pairs
@@ -123,6 +143,25 @@ TEST(Allocations, SteadyStateJoinsAndWmeTableAllocateNothing) {
   // add takes a row an earlier delete freed, with its storage.
   EXPECT_EQ(
       second_pass_allocations("(p idle (z ^k <x>) --> (halt))", changes), 0u);
+}
+
+TEST(Allocations, ParallelPhasesAllocateOnlyForTheConflictSet) {
+  const std::vector<ops5::WmeChange> changes = adds_then_deletes();
+  // The `never` program of the test above: 128 phases that reach no
+  // conflict set take their scratch from the engine, not the heap.
+  EXPECT_EQ(parallel_second_pass_allocations(
+                "(p never (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>) (c ^k <x>)"
+                " --> (halt))",
+                changes, 1),
+            0u);
+  // 96 instantiations are added and removed.  Each add copies its token
+  // into the worker's conflict delta and the conflict set copies it with
+  // its recency vector; each remove copies the token into its delta:
+  // 4 per instantiation, and nothing per phase.
+  EXPECT_LE(parallel_second_pass_allocations(
+                "(p pair (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>) --> (halt))",
+                changes, 1),
+            384u);
 }
 
 TEST(Allocations, ConflictSetRemoveAndMarkFiredAllocateNothing) {

@@ -3,7 +3,6 @@
 // reach their documented outcomes.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "src/sim/sharedbus.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/trace/io.hpp"
+#include "tests/pinned_trace.hpp"
 
 #ifndef MPPS_PROGRAMS_DIR
 #define MPPS_PROGRAMS_DIR "examples/programs"
@@ -331,33 +331,12 @@ TEST(IntegrationPrograms, MeaAndLexAgreeOnDeterministicPlans) {
 
 // ---- recorded traces are pinned ------------------------------------------
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
-  }
-  return h;
-}
-
 /// `mpps trace <program> --buckets <buckets>`'s output, run from the
-/// programs directory in a fresh process: a symbol's hash follows its
-/// intern order, so a trace recorded after other tests interned symbols
-/// could put tokens in other buckets.
+/// programs directory in a fresh process (see pinned_trace.hpp).
 std::string cli_trace(const std::string& program, std::uint32_t buckets) {
-  const std::string command = std::string("cd '") + MPPS_PROGRAMS_DIR +
-                              "' && '" + MPPS_CLI_BIN + "' trace " + program +
-                              " --buckets " + std::to_string(buckets);
-  FILE* pipe = ::popen(command.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) return {};
-  std::string out;
-  char chunk[4096];
-  std::size_t n = 0;
-  while ((n = ::fread(chunk, 1, sizeof(chunk), pipe)) > 0) {
-    out.append(chunk, n);
-  }
-  EXPECT_EQ(::pclose(pipe), 0) << command;
-  return out;
+  return pinned_trace::command_output(
+      std::string("cd '") + MPPS_PROGRAMS_DIR + "' && '" + MPPS_CLI_BIN +
+      "' trace " + program + " --buckets " + std::to_string(buckets));
 }
 
 // The serial engine's trace of every bundled program, at the default 256
@@ -395,7 +374,7 @@ TEST(IntegrationPrograms, RecordedTracesArePinned) {
                  std::to_string(pin.buckets) + " buckets");
     const std::string text = cli_trace(pin.program, pin.buckets);
     EXPECT_EQ(text.size(), pin.bytes);
-    EXPECT_EQ(fnv1a64(text), pin.digest);
+    EXPECT_EQ(pinned_trace::fnv1a64(text), pin.digest);
   }
 }
 

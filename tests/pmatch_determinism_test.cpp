@@ -5,7 +5,8 @@
 //     and equal firing sequence versus the serial rete::Engine, over the
 //     OPS5 example corpus;
 //   - parallel-recorded traces satisfy trace::validate (parents precede
-//     children in every cycle) at any thread count.
+//     children in every cycle) at any thread count;
+//   - the traces recorded at 2 and 4 threads are pinned by digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "src/rete/interp.hpp"
 #include "src/trace/io.hpp"
 #include "src/trace/synth.hpp"
+#include "tests/pinned_trace.hpp"
 #include "tests/pmatch_test_util.hpp"
 
 namespace mpps {
@@ -304,6 +306,62 @@ TEST(PmatchDeterminism, GreedyStaticBalancesLoad) {
     seen[lpt.proc_of(0, b)] = true;
   }
   for (bool s : seen) EXPECT_TRUE(s);
+}
+
+// ---- recorded traces are pinned ------------------------------------------
+
+/// The trace `pmatch_trace` records for `program` at `threads` and
+/// `max_batch`, run from the programs directory in a fresh process (see
+/// pinned_trace.hpp).
+std::string parallel_trace(const std::string& program, std::uint32_t threads,
+                           std::uint32_t max_batch) {
+  return pinned_trace::command_output(
+      std::string("cd '") + MPPS_PROGRAMS_DIR + "' && '" +
+      MPPS_PMATCH_TRACE_BIN + "' " + program + " " + std::to_string(threads) +
+      " " + std::to_string(max_batch));
+}
+
+// The threaded engine's trace of every bundled program, one change per
+// phase at 2 threads and up to 16 fused changes at 4, pinned by byte
+// length and FNV-1a digest.  Activation ids follow the merge's
+// round-major, worker-minor order and each worker's processing order, so
+// a change to how a round's items reach their worker, or to the order a
+// worker takes them in, shows here.
+TEST(PmatchDeterminism, RecordedTracesArePinned) {
+  struct Pin {
+    const char* program;
+    std::uint32_t threads;
+    std::uint32_t max_batch;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"bench_chain.ops", 2, 1, 128049, 0x79FE828ADE352F90ull},
+      {"bench_chain.ops", 4, 16, 128052, 0xA1FA5AE395CB1A64ull},
+      {"bench_fanout.ops", 2, 1, 109678, 0xACFFD4E7231E3865ull},
+      {"bench_fanout.ops", 4, 16, 109678, 0xF2435EB13A0CE18Full},
+      {"blocks.ops", 2, 1, 3417, 0x5FA167D78F0A61CBull},
+      {"blocks.ops", 4, 16, 3416, 0x51B0B6AA2A9237F3ull},
+      {"counter.ops", 2, 1, 367, 0xD120378B07EB9759ull},
+      {"counter.ops", 4, 16, 367, 0xD120378B07EB9759ull},
+      {"cube.ops", 2, 1, 90510, 0x8097195ABA0EF82Cull},
+      {"cube.ops", 4, 16, 90521, 0xD88B60689734A825ull},
+      {"monkey_bananas.ops", 2, 1, 4378, 0x47639ECEB8D4E995ull},
+      {"monkey_bananas.ops", 4, 16, 4378, 0x13E69A6889637DBDull},
+      {"pairings.ops", 2, 1, 5997, 0x1001C7148BF47BDFull},
+      {"pairings.ops", 4, 16, 5997, 0x65B56AABA76EFEF4ull},
+      {"tictactoe.ops", 2, 1, 345981, 0x689B705645583BBEull},
+      {"tictactoe.ops", 4, 16, 345972, 0x6BD8226CB9FF61B5ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.program) + " at " +
+                 std::to_string(pin.threads) + " threads, max_batch " +
+                 std::to_string(pin.max_batch));
+    const std::string text =
+        parallel_trace(pin.program, pin.threads, pin.max_batch);
+    EXPECT_EQ(text.size(), pin.bytes);
+    EXPECT_EQ(pinned_trace::fnv1a64(text), pin.digest);
+  }
 }
 
 }  // namespace

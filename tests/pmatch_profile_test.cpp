@@ -5,8 +5,9 @@
 // timing check in pmatch_profile_ab_test.cpp, which runs alone), the
 // attribution must explain >= 95% of every worker's wall
 // time on the committed bench workloads (the PR's acceptance number,
-// checked end to end through `mpps run --profile --json`), and the
-// measured Chrome-trace lanes must ride the --trace-out plumbing.
+// checked end to end through `mpps run --profile --json`), a worker
+// thread must wait at one barrier per round, and the measured
+// Chrome-trace lanes must ride the --trace-out plumbing.
 // scripts/ci.sh runs this suite under TSan (it is part of pmatch_tests).
 #include <gtest/gtest.h>
 
@@ -77,6 +78,32 @@ TEST_P(ProfiledWorkload, AttributesAtLeast95PercentOfWorkerWall) {
     EXPECT_GE(report.rounds, report.phases);
     for (const obs::ProfileReport::Worker& w : report.workers) {
       EXPECT_GT(w.wall_ns, 0u);
+    }
+  }
+}
+
+TEST_P(ProfiledWorkload, WorkerThreadsWaitOnceAtEachRoundBarrier) {
+  // A round is one match step, one barrier and one exchange step, so a
+  // worker thread records one barrier_wait span per round: as many as
+  // the phases' rounds in all, and one at round 0 of each phase.
+  const std::string source = load_program(GetParam());
+  ASSERT_FALSE(source.empty());
+  for (const std::uint32_t threads : {2u, 4u}) {
+    obs::Profiler profiler;
+    run_workload(source, threads, &profiler);
+    const obs::ProfileReport report = profiler.report();
+    ASSERT_GT(report.phases, 0u);
+    for (std::uint32_t w = 0; w < threads; ++w) {
+      std::uint64_t waits = 0;
+      std::uint64_t phases = 0;
+      for (const obs::ProfSpan& span : profiler.lane(w)->spans()) {
+        if (span.category != obs::ProfCategory::BarrierWait) continue;
+        if (span.round == 0) ++phases;
+        ++waits;
+      }
+      EXPECT_EQ(waits, report.rounds)
+          << GetParam() << " at " << threads << " threads, worker " << w;
+      EXPECT_EQ(phases, report.phases);
     }
   }
 }

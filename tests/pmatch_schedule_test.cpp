@@ -31,9 +31,8 @@ using pmatch_test::flatten;
 using pmatch_test::load_program;
 using pmatch_test::random_program;
 
-/// Keeps every ordering exactly as the engine presents it (a valid
-/// FIFO-respecting schedule; with no controller the engine would instead
-/// sort rounds by (sender, seq)).
+/// Keeps every ordering exactly as the engine presents it: each sender's
+/// stream in turn, which is also the free-running engine's order.
 struct IdentityControl : pmatch::ScheduleControl {
   void order_round(std::uint32_t, std::uint32_t,
                    std::span<const pmatch::ScheduledOp> ops,
@@ -155,29 +154,6 @@ TEST(PmatchSchedule, DuplicateIndexInOrderThrows) {
     }
   } control;
   EXPECT_THROW(run_join_phase(control), RuntimeError);
-}
-
-TEST(PmatchSchedule, BadDrainOrderThrows) {
-  struct BadDrain final : IdentityControl {
-    void drain_order(std::uint32_t, std::uint32_t, std::uint32_t,
-                     std::vector<std::uint32_t>& order) override {
-      order.clear();  // must cover every producer
-    }
-  } control;
-  EXPECT_THROW(run_join_phase(control), RuntimeError);
-}
-
-TEST(PmatchSchedule, ReversedDrainOrderIsStillCorrect) {
-  // Draining producer slots in reverse is a legal schedule: per-producer
-  // FIFO is intact, so the conflict set must not change.
-  struct ReversedDrain final : IdentityControl {
-    void drain_order(std::uint32_t, std::uint32_t, std::uint32_t producers,
-                     std::vector<std::uint32_t>& order) override {
-      order.resize(producers);
-      std::iota(order.rbegin(), order.rend(), 0u);
-    }
-  } control;
-  run_controlled_lockstep(load_program("pairings.ops"), 2, control);
 }
 
 TEST(PmatchSchedule, ProfilerPlusScheduleThrowsAtConstruction) {

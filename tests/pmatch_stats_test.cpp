@@ -4,20 +4,23 @@
 // mailbox depth can never exceed the configured capacity unless an
 // overflow was counted, per-worker activation counts must sum to the
 // engine totals, and all deterministic counters must merge bit-identically
-// across thread counts and across repeated runs.  The work-item pools
-// must stay bounded under one-sided cross-worker traffic.  scripts/ci.sh
-// runs this suite under TSan (it is part of pmatch_tests).
+// across thread counts and across repeated runs.  On a hand-built phase
+// the receipt counters equal values worked out by hand.  The work-item
+// pools must stay bounded under one-sided cross-worker traffic.
+// scripts/ci.sh runs this suite under TSan (it is part of pmatch_tests).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/ops5/parser.hpp"
 #include "src/ops5/wme.hpp"
 #include "src/pmatch/engine.hpp"
 #include "src/rete/interp.hpp"
+#include "src/rete/memory.hpp"
 #include "tests/pmatch_test_util.hpp"
 
 namespace mpps {
@@ -143,6 +146,94 @@ TEST_P(WorkerStatsInvariants, CountersStableAcrossRepeatedRuns) {
 INSTANTIATE_TEST_SUITE_P(BenchWorkloads, WorkerStatsInvariants,
                          ::testing::Values("bench_fanout.ops",
                                            "bench_chain.ops"));
+
+// --- Receipts per round, worked out by hand ----------------------------------
+// `(a) (b) (c)` has no equality test, so each of its two joins keeps all
+// its tokens in one bucket, fixed by the node id.  Two workers split them
+// by an explicit assignment.
+
+/// Runs two phases on 2 workers at mailbox_capacity 1: {a1, a2, b1, b2,
+/// c1}, then {a3}.  `split` puts the second join on worker 1, so every
+/// pair the first join makes is a message from worker 0 to worker 1;
+/// otherwise both joins are on worker 0.
+std::vector<pmatch::WorkerStats> run_cross_product(bool split,
+                                                   obs::Registry& registry) {
+  const rete::Network net = rete::Network::compile(
+      ops5::parse_program("(p cross (a) (b) (c) --> (halt))\n"));
+  EXPECT_EQ(net.betas().size(), 2u);
+  EXPECT_EQ(net.betas()[1].left_source, net.betas()[0].id);
+  constexpr std::uint32_t kBuckets = 64;
+  const std::uint32_t first = rete::bucket_index(net.betas()[0].id, {}, kBuckets);
+  const std::uint32_t second =
+      rete::bucket_index(net.betas()[1].id, {}, kBuckets);
+  EXPECT_NE(first, second);
+  std::vector<std::uint32_t> owner(kBuckets, 0);
+  if (split) owner[second] = 1;
+  pmatch::ParallelOptions popts;
+  popts.threads = 2;
+  popts.mailbox_capacity = 1;
+  popts.assignment = sim::Assignment::fixed(owner, 2);
+  popts.metrics = &registry;
+  pmatch::ParallelEngine engine(net, popts);
+  ops5::WorkingMemory wm;
+  engine.begin_batch();
+  for (const char* wme : {"(a)", "(a)", "(b)", "(b)", "(c)"}) {
+    wm.add(ops5::parse_wme(wme));
+  }
+  for (const ops5::WmeChange& change : wm.drain_changes()) {
+    engine.process_change(change);
+  }
+  engine.flush();
+  wm.add(ops5::parse_wme("(a)"));
+  for (const ops5::WmeChange& change : wm.drain_changes()) {
+    engine.process_change(change);
+  }
+  // Each phase is two rounds: the roots, then the pairs at the second
+  // join, which complete instantiations and route nothing.
+  EXPECT_EQ(engine.rounds(), 4u);
+  EXPECT_EQ(engine.conflict_set().size(), 6u);
+  return engine.worker_stats();
+}
+
+TEST(WorkerStatsByHand, ReceiptsBeyondCapacityOneCountAsOverflows) {
+  // Phase 1: worker 0 joins a1 and a2 with b1 and b2 in round 0 and sends
+  // the 4 pairs; worker 1 receives 4 in one round, 3 beyond capacity.
+  // Phase 2: a3 joins b1 and b2, so 2 more arrive, 1 beyond capacity.
+  obs::Registry registry;
+  const std::vector<pmatch::WorkerStats> ws = run_cross_product(true, registry);
+  ASSERT_EQ(ws.size(), 2u);
+  EXPECT_EQ(ws[0].messages_sent, 6u);
+  EXPECT_EQ(ws[0].local_deliveries, 0u);
+  EXPECT_EQ(ws[0].max_mailbox_depth, 0u);
+  EXPECT_EQ(ws[0].mailbox_overflows, 0u);
+  EXPECT_EQ(ws[1].activations, 1u + 6u);  // c1, then the 6 pairs
+  EXPECT_EQ(ws[1].max_mailbox_depth, 4u);
+  EXPECT_EQ(ws[1].mailbox_overflows, 3u + 1u);
+  EXPECT_EQ(registry.counter("pmatch.mailbox_overflows").value(), 4u);
+  // One depth sample per worker per round, the last round's 0 included.
+  const obs::Histogram& depth = registry.histogram("pmatch.mailbox_depth", {});
+  EXPECT_EQ(depth.count(), 2u * 4u);
+  EXPECT_EQ(depth.sum(), 4 + 2);
+  EXPECT_EQ(depth.max(), 4);
+}
+
+TEST(WorkerStatsByHand, LocalDeliveriesAreNotReceipts) {
+  // The same phases with both joins on worker 0: the 6 pairs stay local,
+  // so no worker receives anything.
+  obs::Registry registry;
+  const std::vector<pmatch::WorkerStats> ws =
+      run_cross_product(false, registry);
+  ASSERT_EQ(ws.size(), 2u);
+  EXPECT_EQ(ws[0].local_deliveries, 6u);
+  for (const pmatch::WorkerStats& w : ws) {
+    EXPECT_EQ(w.messages_sent, 0u);
+    EXPECT_EQ(w.max_mailbox_depth, 0u);
+    EXPECT_EQ(w.mailbox_overflows, 0u);
+  }
+  const obs::Histogram& depth = registry.histogram("pmatch.mailbox_depth", {});
+  EXPECT_EQ(depth.count(), 2u * 4u);
+  EXPECT_EQ(depth.sum(), 0);
+}
 
 // --- Item pools under one-sided traffic -------------------------------------
 // A worker recycles the work items it processed but takes items for the
