@@ -4,11 +4,14 @@
 // bucket, which degenerates to a linear scan of each node's memory).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/ops5/parser.hpp"
+#include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
 #include "src/rete/join.hpp"
 #include "src/rete/memory.hpp"
@@ -146,6 +149,64 @@ void BM_JoinTwoNotEqualTestsOver256(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_JoinTwoNotEqualTestsOver256);
+
+/// A 4-wme token in the shape of Manners' seat-next-guest: one old wme
+/// (the context) and three newer ones from timetag `first` on.  Its first
+/// three wmes make a 3-wme token.
+std::array<WmeId, 4> cs_token(std::uint64_t first) {
+  return {WmeId{1}, WmeId{first}, WmeId{first + 2}, WmeId{first + 1}};
+}
+
+rete::ConflictSet manners_like_set() {
+  return rete::ConflictSet(
+      [](ProductionId p) { return std::size_t{6} + p.value(); });
+}
+
+void BM_ConflictSetChurn(benchmark::State& state) {
+  // Manners' peak: 768 live entries.  Each iteration adds one 3- or
+  // 4-wme instantiation and removes the one added 768 iterations
+  // earlier, so Time is ns per add + remove pair.
+  constexpr std::size_t kLive = 768;
+  rete::ConflictSet cs = manners_like_set();
+  std::vector<std::array<WmeId, 4>> ring(kLive);
+  const auto length = [](std::uint64_t i) { return i % 2 == 0 ? 4u : 3u; };
+  const auto production = [](std::uint64_t i) {
+    return ProductionId{i % 2 == 0 ? 1u : 2u};
+  };
+  std::uint64_t i = 0;
+  for (; i < kLive; ++i) {
+    ring[i] = cs_token(2 + 3 * i);
+    cs.add(production(i), std::span(ring[i]).first(length(i)));
+  }
+  for (auto _ : state) {
+    std::array<WmeId, 4>& slot = ring[i % kLive];
+    const std::uint64_t old = i - kLive;
+    benchmark::DoNotOptimize(
+        cs.remove(production(old), std::span(slot).first(length(old))));
+    slot = cs_token(2 + 3 * i);
+    cs.add(production(i), std::span(slot).first(length(i)));
+    ++i;
+  }
+  state.counters["live"] = static_cast<double>(cs.size());
+}
+BENCHMARK(BM_ConflictSetChurn);
+
+void BM_ConflictSetSelect(benchmark::State& state) {
+  // Manners' mean: 130 entries.  Each iteration is one LEX select over
+  // them, none fired, so Time is ns per select.
+  constexpr std::uint64_t kEntries = 130;
+  rete::ConflictSet cs = manners_like_set();
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    // Interleave old and new timetags so the winner is not the last add.
+    const std::uint64_t first = 2 + 3 * ((i * 67) % kEntries);
+    const std::array<WmeId, 4> token = cs_token(first);
+    cs.add(ProductionId{1}, token);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cs.select(rete::Strategy::Lex));
+  }
+}
+BENCHMARK(BM_ConflictSetSelect);
 
 void BM_NetworkCompile(benchmark::State& state) {
   // A production system with shared prefixes — compile cost matters for

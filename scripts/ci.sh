@@ -48,7 +48,7 @@ done
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" --timeout 120
 
 echo "=== tier-1: simulator differential self-check ==="
@@ -193,7 +193,7 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" --timeout 120
 ./build-asan/tools/mpps selfcheck --rounds 20 --seed 1
 
@@ -222,7 +222,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
-cmake --build build-tsan -j --target sweep_tests pmatch_tests network_tests \
+cmake --build build-tsan -j "$(nproc)" --target sweep_tests pmatch_tests network_tests \
   serve_tests rete_oracle_tests mpps
 ./build-tsan/tests/sweep_tests
 ./build-tsan/tests/pmatch_tests
@@ -246,7 +246,7 @@ cmake -B build-cov -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="$COV_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="--coverage"
-cmake --build build-cov -j
+cmake --build build-cov -j "$(nproc)"
 ctest --test-dir build-cov --output-on-failure -j "$(nproc)" --timeout 240
 ./build-cov/tools/mpps selfcheck --rounds 20 --seed 1
 python3 scripts/coverage_gate.py build-cov \

@@ -1,7 +1,6 @@
 #include "src/ops5/value.hpp"
 
 #include <cmath>
-#include <functional>
 #include <ostream>
 
 #include "src/common/strings.hpp"
@@ -18,18 +17,6 @@ std::string_view to_string(Predicate p) {
     case Predicate::Ge: return ">=";
   }
   return "?";
-}
-
-std::size_t Value::hash() const {
-  switch (kind_) {
-    case Kind::Absent: return 0x5151'5151u;
-    case Kind::Sym: return std::hash<Symbol>{}(sym_);
-    case Kind::Int:
-      // Ints hash like the equal-valued double so equals() ⇒ equal hashes.
-      return std::hash<double>{}(static_cast<double>(int_));
-    case Kind::Float: return std::hash<double>{}(float_);
-  }
-  return 0;
 }
 
 std::string Value::to_string() const {

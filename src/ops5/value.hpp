@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -76,7 +77,19 @@ class Value {
   }
 
   /// Hash consistent with `equals` (ints and equal-valued floats collide).
-  [[nodiscard]] std::size_t hash() const;
+  /// Inline: every join activation hashes its key with it.
+  [[nodiscard]] std::size_t hash() const {
+    switch (kind_) {
+      case Kind::Absent: return 0x5151'5151u;
+      case Kind::Sym: return std::hash<Symbol>{}(sym_);
+      case Kind::Int:
+        // Ints hash like the equal-valued double so equals() ⇒ equal
+        // hashes.
+        return std::hash<double>{}(static_cast<double>(int_));
+      case Kind::Float: return std::hash<double>{}(float_);
+    }
+    return 0;
+  }
 
   [[nodiscard]] std::string to_string() const;
 

@@ -15,7 +15,6 @@ using rete::AlphaSuccessor;
 using rete::BetaNode;
 using rete::Side;
 using rete::Tag;
-using rete::Token;
 
 namespace {
 
@@ -331,20 +330,21 @@ std::uint64_t ParallelEngine::item_hash(const WorkItem& item) {
   return h;
 }
 
-std::uint64_t ParallelEngine::delta_dependence_hash(const ConflictDelta& d) {
+std::uint64_t ParallelEngine::delta_dependence_hash(const MergedDelta& d) {
   std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, d.pid.value());
-  for (WmeId w : d.token.wmes) h = fnv_mix(h, w.value());
+  for (WmeId w : d.token) h = fnv_mix(h, w.value());
   return h;
 }
 
-std::uint64_t ParallelEngine::delta_identity_hash(const ConflictDelta& d) {
+std::uint64_t ParallelEngine::delta_identity_hash(const MergedDelta& d) {
   return fnv_mix(delta_dependence_hash(d), static_cast<std::uint64_t>(d.tag));
 }
 
 void ParallelEngine::begin_worker_phase(Worker& w) {
   w.records.clear();
   w.deltas.clear();
+  w.delta_wmes.clear();
   w.received.clear();
   recycle_items(w, w.current);
   recycle_items(w, w.next);
@@ -380,15 +380,28 @@ ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
 
 void ParallelEngine::recycle_items(Worker& w, std::vector<WorkItem>& items) {
   // A worker recycles the items it processed but takes items for what it
-  // sends, so under one-sided cross-worker traffic the receiver would
-  // pool more every phase.  A pool never needs more items than its worker
-  // has taken in one phase.
+  // sends, so under one-sided cross-worker traffic the receiver retires
+  // more items than it takes and the sender takes more than it retires.
+  // A pool never needs more items than its worker has taken in one
+  // phase; the rest wait in the surplus for rebalance_pools.
   const std::uint64_t limit = std::max(w.pool_limit, w.taken);
   for (WorkItem& item : items) {
-    if (w.pool.size() >= limit) break;
-    w.pool.push_back(std::move(item));
+    (w.pool.size() < limit ? w.pool : w.surplus).push_back(std::move(item));
   }
   items.clear();
+}
+
+void ParallelEngine::rebalance_pools() {
+  auto donor = workers_.begin();
+  for (auto& w : workers_) {
+    while (w->pool.size() < w->pool_limit) {
+      while (donor != workers_.end() && (*donor)->surplus.empty()) ++donor;
+      if (donor == workers_.end()) break;
+      w->pool.push_back(std::move((*donor)->surplus.back()));
+      (*donor)->surplus.pop_back();
+    }
+  }
+  for (auto& w : workers_) w->surplus.clear();
 }
 
 void ParallelEngine::seed_root(WmeId root, const AlphaSuccessor& succ,
@@ -438,8 +451,10 @@ struct ParallelEngine::WorkerSink {
   }
   void instantiation(ProductionId pid, std::span<const WmeId> token,
                      Tag tag) {
-    w.deltas.push_back(
-        ConflictDelta{pid, Token{{token.begin(), token.end()}}, tag, w.round});
+    w.deltas.push_back(ConflictDelta{pid, tag, w.round,
+                                     static_cast<std::uint32_t>(token.size()),
+                                     w.delta_wmes.size()});
+    w.delta_wmes.insert(w.delta_wmes.end(), token.begin(), token.end());
   }
 };
 
@@ -555,6 +570,7 @@ void ParallelEngine::flush() {
 void ParallelEngine::run_phase(const ops5::WmeChange* changes,
                                std::size_t count) try {
   for (auto& w : workers_) begin_worker_phase(*w);
+  rebalance_pools();
   // Per-change pre-work, in change order: the change is checked against
   // the wme table; the listener sees every change before any of the
   // batch's activations; adds enter the wme table so operands can be read
@@ -698,12 +714,13 @@ void ParallelEngine::merge_phase() {
                                   w->deltas[w->merged_deltas].round == round;
            ++seq) {
         const ConflictDelta& d = w->deltas[w->merged_deltas++];
-        merge_group_.push_back(&d);
+        const MergedDelta& m = merge_group_.emplace_back(MergedDelta{
+            d.pid, {w->delta_wmes.data() + d.begin, d.size}, d.tag});
         if (sched != nullptr) {
           ops.push_back(ScheduledOp{
               w->index, seq,
-              static_cast<std::uint32_t>(delta_dependence_hash(d)),
-              delta_identity_hash(d)});
+              static_cast<std::uint32_t>(delta_dependence_hash(m)),
+              delta_identity_hash(m)});
         }
       }
     }
@@ -712,8 +729,8 @@ void ParallelEngine::merge_phase() {
       require_permutation(order, merge_group_.size(), "order_merge");
       reorder_by(merge_group_, order);
     }
-    for (const ConflictDelta* d : merge_group_) {
-      rete::update_conflict_set(conflict_, d->pid, d->token.wmes, d->tag);
+    for (const MergedDelta& d : merge_group_) {
+      rete::update_conflict_set(conflict_, d.pid, d.token, d.tag);
     }
   }
 }

@@ -246,12 +246,21 @@ class ParallelEngine final : public rete::MatchEngine {
     std::uint32_t round = 0;
   };
 
-  /// A conflict-set update awaiting the deterministic merge.
+  /// A conflict-set update awaiting the deterministic merge.  Its token is
+  /// the `size` wmes at `begin` in its worker's `delta_wmes`.
   struct ConflictDelta {
     ProductionId pid;
-    rete::Token token;
     rete::Tag tag = rete::Tag::Plus;
     std::uint32_t round = 0;
+    std::uint32_t size = 0;
+    std::size_t begin = 0;
+  };
+
+  /// A conflict delta as the merge applies it, its token in place.
+  struct MergedDelta {
+    ProductionId pid;
+    std::span<const WmeId> token;
+    rete::Tag tag = rete::Tag::Plus;
   };
 
   struct Worker {
@@ -271,10 +280,14 @@ class ParallelEngine final : public rete::MatchEngine {
     std::uint64_t routed = 0;  // children routed this round
     std::vector<WorkItem> pool;  // retired items recycled to kill per-
                                  // activation token/key allocations
+    // Retired items beyond pool_limit, kept for the workers that take
+    // more items than they retire (see rebalance_pools).
+    std::vector<WorkItem> surplus;
     std::uint64_t taken = 0;       // items taken this phase
     std::uint64_t pool_limit = 0;  // most items taken in any one phase
     std::vector<PendingRecord> records;
     std::vector<ConflictDelta> deltas;
+    std::vector<WmeId> delta_wmes;  // the deltas' tokens, back to back
     // Items gathered from other workers, one sample per round.
     std::vector<std::uint64_t> received;
     std::uint64_t provisional_counter = 0;
@@ -302,7 +315,7 @@ class ParallelEngine final : public rete::MatchEngine {
 
   /// The join kernel's sink on a worker: a child becomes a pooled
   /// WorkItem routed to its bucket's owner, an instantiation a
-  /// ConflictDelta for the merge.
+  /// ConflictDelta for the merge, its token appended to `delta_wmes`.
   struct WorkerSink;
 
   struct Instruments {
@@ -356,6 +369,10 @@ class ParallelEngine final : public rete::MatchEngine {
   /// Resets a worker's per-phase state and recycles its last phase's
   /// items; every phase starts with it.
   static void begin_worker_phase(Worker& w);
+  /// Moves the workers' surplus items into the pools below their limit,
+  /// and frees what no pool needs.  The control thread runs it at phase
+  /// start, while the workers are parked.
+  void rebalance_pools();
   /// Charges one phase's wall to the worker's busy/idle counters and
   /// profiler lane.
   static void end_worker_phase(Worker& w, Clock::time_point start,
@@ -364,7 +381,7 @@ class ParallelEngine final : public rete::MatchEngine {
   /// constructs one.
   [[nodiscard]] static WorkItem take_item(Worker& w);
   /// Moves the items of `items` into the worker's pool, up to its
-  /// pool_limit (the rest are freed), and clears it.
+  /// pool_limit (the rest into its surplus), and clears it.
   static void recycle_items(Worker& w, std::vector<WorkItem>& items);
   void process_item(Worker& w, const WorkItem& item);
   void route(Worker& w, WorkItem item);
@@ -377,9 +394,9 @@ class ParallelEngine final : public rete::MatchEngine {
   /// the add/remove pair of one instantiation and must stay ordered.
   [[nodiscard]] static std::uint64_t item_hash(const WorkItem& item);
   [[nodiscard]] static std::uint64_t delta_identity_hash(
-      const ConflictDelta& d);
+      const MergedDelta& d);
   [[nodiscard]] static std::uint64_t delta_dependence_hash(
-      const ConflictDelta& d);
+      const MergedDelta& d);
   void collect_stats();
   void flush_metrics();
 
@@ -417,7 +434,7 @@ class ParallelEngine final : public rete::MatchEngine {
 
   std::uint64_t next_activation_ = 1;
   std::unordered_map<std::uint64_t, ActivationId> remap_;
-  std::vector<const ConflictDelta*> merge_group_;  // one round's deltas
+  std::vector<MergedDelta> merge_group_;  // one round's deltas
   rete::EngineStats stats_;
   rete::StatsMirror mirror_;
   std::vector<WorkerStats> flushed_workers_;

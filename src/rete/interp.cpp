@@ -76,17 +76,21 @@ bool Interpreter::step() {
   if (halted_) return false;
   ++cycle_;
   match();
-  auto selected = engine_->conflict_set().select(options_.strategy);
+  ConflictSet& cs = engine_->conflict_set();
+  const auto selected = cs.select(options_.strategy);
   if (!selected.has_value()) return false;
-  engine_->conflict_set().mark_fired(*selected);
+  cs.mark_fired(*selected);
   const auto& pnode = network_->production_nodes()[selected->production.value()];
   if (options_.watch >= 1 && options_.out != nullptr) {
     *options_.out << cycle_ << ". " << pnode.name;
-    for (WmeId w : selected->token.wmes) *options_.out << ' ' << w.value();
+    for (WmeId w : selected->token) *options_.out << ' ' << w.value();
     *options_.out << "\n";
   }
-  firings_.push_back(FireRecord{cycle_, pnode.name, selected->token.wmes});
-  act(*selected);
+  firings_.push_back(FireRecord{
+      cycle_, pnode.name, {selected->token.begin(), selected->token.end()}});
+  // The firing's own copy of the token: the view into the conflict set
+  // lives only until the set next changes.
+  act(InstantiationView{selected->production, firings_.back().wmes});
   return !halted_;
 }
 
@@ -119,8 +123,8 @@ std::size_t Interpreter::token_pos(const ops5::Production& p,
 }
 
 std::size_t Interpreter::target_pos(const ops5::Production& p,
-                                    const Instantiation& inst, int ce_number,
-                                    Symbol elem_var) const {
+                                    const InstantiationView& inst,
+                                    int ce_number, Symbol elem_var) const {
   if (elem_var.empty()) return token_pos(p, ce_number);
   for (const auto& binding : network_->elem_bindings(inst.production)) {
     if (binding.var == elem_var) return binding.token_pos;
@@ -130,7 +134,7 @@ std::size_t Interpreter::target_pos(const ops5::Production& p,
 }
 
 ops5::Value Interpreter::eval_term(
-    const ops5::Term& term, const Instantiation& inst,
+    const ops5::Term& term, const InstantiationView& inst,
     const std::vector<std::pair<Symbol, ops5::Value>>& rhs_bindings) const {
   if (term.is_compute()) {
     std::vector<ops5::Value> operands;
@@ -146,7 +150,7 @@ ops5::Value Interpreter::eval_term(
   }
   for (const auto& binding : network_->bindings(inst.production)) {
     if (binding.var == term.variable) {
-      return engine_->wme(inst.token.wmes[binding.token_pos])
+      return engine_->wme(inst.token[binding.token_pos])
           .get(binding.attr);
     }
   }
@@ -154,7 +158,7 @@ ops5::Value Interpreter::eval_term(
                      std::string(term.variable.text()) + ">");
 }
 
-void Interpreter::act(const Instantiation& inst) {
+void Interpreter::act(const InstantiationView& inst) {
   const ops5::Production& prod = network_->production(inst.production);
   std::vector<std::pair<Symbol, ops5::Value>> rhs_bindings;
 
@@ -167,10 +171,10 @@ void Interpreter::act(const Instantiation& inst) {
       wm_.add(ops5::Wme(m->wme_class, std::move(attrs)));
     } else if (const auto* r = std::get_if<ops5::RemoveAction>(&action)) {
       wm_.remove(
-          inst.token.wmes[target_pos(prod, inst, r->ce_index, r->elem_var)]);
+          inst.token[target_pos(prod, inst, r->ce_index, r->elem_var)]);
     } else if (const auto* mo = std::get_if<ops5::ModifyAction>(&action)) {
       const WmeId target =
-          inst.token.wmes[target_pos(prod, inst, mo->ce_index, mo->elem_var)];
+          inst.token[target_pos(prod, inst, mo->ce_index, mo->elem_var)];
       const ops5::Wme* old = wm_.find(target);
       if (old == nullptr) {
         throw RuntimeError("modify: wme already removed in this firing");

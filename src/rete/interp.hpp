@@ -80,15 +80,16 @@ class Interpreter {
 
  private:
   void match();
-  void act(const Instantiation& inst);
-  ops5::Value eval_term(const ops5::Term& term, const Instantiation& inst,
+  void act(const InstantiationView& inst);
+  ops5::Value eval_term(const ops5::Term& term, const InstantiationView& inst,
                         const std::vector<std::pair<Symbol, ops5::Value>>&
                             rhs_bindings) const;
   /// Maps a 1-based CE number (over all CEs) to the token position.
   std::size_t token_pos(const ops5::Production& p, int ce_number) const;
   /// Resolves a remove/modify target: element variable, or CE number.
-  std::size_t target_pos(const ops5::Production& p, const Instantiation& inst,
-                         int ce_number, Symbol elem_var) const;
+  std::size_t target_pos(const ops5::Production& p,
+                         const InstantiationView& inst, int ce_number,
+                         Symbol elem_var) const;
 
   ops5::Program program_;
   InterpreterOptions options_;

@@ -53,12 +53,11 @@ struct EngineStats {
   friend bool operator==(const EngineStats&, const EngineStats&) = default;
 };
 
-/// Applies one +/- instantiation to a conflict set; only an add copies
-/// the token.
+/// Applies one +/- instantiation to a conflict set.
 inline void update_conflict_set(ConflictSet& cs, ProductionId pid,
                                 std::span<const WmeId> token, Tag tag) {
   if (tag == Tag::Plus) {
-    cs.add(Instantiation{pid, Token{{token.begin(), token.end()}}});
+    cs.add(pid, token);
   } else {
     cs.remove(pid, token);
   }

@@ -2,20 +2,6 @@
 
 namespace mpps::rete {
 
-std::uint32_t bucket_index(NodeId node, std::span<const Value> key,
-                           std::uint32_t num_buckets) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ node.value();
-  h *= 0xFF51AFD7ED558CCDull;
-  for (const Value& v : key) {
-    h ^= v.hash() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  }
-  // Final avalanche so low bits are well mixed before the modulo.
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ull;
-  h ^= h >> 33;
-  return static_cast<std::uint32_t>(h % num_buckets);
-}
-
 void HashedMemory::Cell::erase_at(std::size_t i) {
   // Shifting keeps the remaining entries in insertion order, which is the
   // order probes visit them in.

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,11 +27,28 @@ namespace mpps::rete {
 
 using ops5::Value;
 
+/// The hash of a token headed to `node` with equality-test values `key`;
+/// its bucket is the hash modulo the bucket count.
+inline std::uint64_t bucket_hash(NodeId node, std::span<const Value> key) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ node.value();
+  h *= 0xFF51AFD7ED558CCDull;
+  for (const Value& v : key) {
+    h ^= v.hash() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  }
+  // Final avalanche so low bits are well mixed before the modulo.
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  return h;
+}
+
 /// Computes the global bucket index for a token headed to `node` with
 /// equality-test values `key`.  A node with no equality tests maps all its
 /// tokens to one bucket — the paper's non-discriminating cross-product case.
-std::uint32_t bucket_index(NodeId node, std::span<const Value> key,
-                           std::uint32_t num_buckets);
+inline std::uint32_t bucket_index(NodeId node, std::span<const Value> key,
+                                  std::uint32_t num_buckets) {
+  return static_cast<std::uint32_t>(bucket_hash(node, key) % num_buckets);
+}
 
 /// One side (left or right) of the global hash table.
 ///
@@ -48,13 +66,18 @@ std::uint32_t bucket_index(NodeId node, std::span<const Value> key,
 class HashedMemory {
  public:
   explicit HashedMemory(std::uint32_t num_buckets)
-      : num_buckets_(num_buckets) {}
+      : num_buckets_(num_buckets),
+        power_of_two_(std::has_single_bit(num_buckets)) {}
 
   [[nodiscard]] std::uint32_t num_buckets() const { return num_buckets_; }
 
+  /// `bucket_index(node, key, num_buckets())`; a power-of-two bucket count
+  /// takes the low bits, which is the same index without a division.
   [[nodiscard]] std::uint32_t bucket_of(NodeId node,
                                         std::span<const Value> key) const {
-    return bucket_index(node, key, num_buckets_);
+    const std::uint64_t h = bucket_hash(node, key);
+    return static_cast<std::uint32_t>(
+        power_of_two_ ? h & (num_buckets_ - 1) : h % num_buckets_);
   }
 
   /// Appends a token with test operands `operands` (equality key first)
@@ -133,6 +156,7 @@ class HashedMemory {
   }
 
   std::uint32_t num_buckets_;
+  bool power_of_two_;
   std::vector<Cell> cells_;          // live cells and emptied ones
   std::vector<std::uint32_t> free_;  // the emptied cells' slots
   // Node id → (bucket → slot in cells_, or kNoSlot); a node's table is

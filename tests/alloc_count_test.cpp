@@ -16,6 +16,7 @@
 #include "src/pmatch/engine.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
+#include "src/rete/interp.hpp"
 #include "src/rete/network.hpp"
 
 namespace {
@@ -145,23 +146,28 @@ TEST(Allocations, SteadyStateJoinsAndWmeTableAllocateNothing) {
       second_pass_allocations("(p idle (z ^k <x>) --> (halt))", changes), 0u);
 }
 
-TEST(Allocations, ParallelPhasesAllocateOnlyForTheConflictSet) {
+TEST(Allocations, ParallelPhasesAllocateNothing) {
   const std::vector<ops5::WmeChange> changes = adds_then_deletes();
-  // The `never` program of the test above: 128 phases that reach no
-  // conflict set take their scratch from the engine, not the heap.
-  EXPECT_EQ(parallel_second_pass_allocations(
-                "(p never (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>) (c ^k <x>)"
-                " --> (halt))",
-                changes, 1),
-            0u);
-  // 96 instantiations are added and removed.  Each add copies its token
-  // into the worker's conflict delta and the conflict set copies it with
-  // its recency vector; each remove copies the token into its delta:
-  // 4 per instantiation, and nothing per phase.
-  EXPECT_LE(parallel_second_pass_allocations(
-                "(p pair (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>) --> (halt))",
-                changes, 1),
-            384u);
+  for (const std::uint32_t threads : {1u, 2u}) {
+    // The `never` program of the test above: 128 phases that reach no
+    // conflict set take their scratch from the engine, not the heap.  At
+    // 2 threads the traffic is one-sided, so the items one worker retires
+    // must reach the pool of the worker that takes them.
+    EXPECT_EQ(parallel_second_pass_allocations(
+                  "(p never (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>)"
+                  " (c ^k <x>) --> (halt))",
+                  changes, threads),
+              0u)
+        << threads << " threads";
+    // 96 instantiations are added and removed: each delta's token goes
+    // into its worker's delta buffer, and each add into a conflict-set
+    // row that an earlier remove freed.
+    EXPECT_EQ(parallel_second_pass_allocations(
+                  "(p pair (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>) --> (halt))",
+                  changes, threads),
+              0u)
+        << threads << " threads";
+  }
 }
 
 TEST(Allocations, ConflictSetRemoveAndMarkFiredAllocateNothing) {
@@ -179,6 +185,84 @@ TEST(Allocations, ConflictSetRemoveAndMarkFiredAllocateNothing) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(removed, all.size());
   EXPECT_TRUE(cs.empty());
+  // Re-adding takes the freed rows back, and selects view them in place.
+  const std::uint64_t readd = allocations_in([&] {
+    for (const rete::Instantiation& inst : all) cs.add(inst);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const auto picked = cs.select(rete::Strategy::Lex);
+      ASSERT_TRUE(picked.has_value());
+      cs.mark_fired(*picked);
+    }
+  });
+  EXPECT_EQ(readd, 0u);
+  EXPECT_EQ(cs.size(), all.size());
+  EXPECT_FALSE(cs.select(rete::Strategy::Lex).has_value());
+}
+
+/// A Miss Manners party of `guests`, built as examples/manners.cpp builds
+/// it: alternating sexes, the shared hobby h0 and two more from a pool.
+std::string manners_source(int guests) {
+  std::string source = R"(
+    (p seat-first-guest
+      (context ^state start)
+      (guest ^name <g>)
+      -->
+      (make seated ^name <g> ^seat 1)
+      (make last ^name <g> ^seat 1)
+      (modify 1 ^state assign))
+
+    (p seat-next-guest
+      (context ^state assign)
+      (last ^name <n1> ^seat <s>)
+      (guest ^name <n1> ^sex <sx> ^hobby <h>)
+      (guest ^name { <n2> <> <n1> } ^sex <> <sx> ^hobby <h>)
+      -(seated ^name <n2>)
+      -->
+      (make seated ^name <n2> ^seat (compute <s> + 1))
+      (modify 2 ^name <n2> ^seat (compute <s> + 1)))
+
+    (p everyone-seated
+      (context ^state assign)
+      (party ^guests <n>)
+      (last ^seat <n>)
+      -->
+      (halt)))";
+  source += "\n(make context ^state start)\n";
+  source += "(make party ^guests " + std::to_string(guests) + ")\n";
+  for (int i = 0; i < guests; ++i) {
+    const std::string guest = "(make guest ^name g" + std::to_string(i) +
+                              " ^sex " + (i % 2 == 0 ? "m" : "f") +
+                              " ^hobby h";
+    source += guest + "0)\n";
+    source += guest + std::to_string(1 + i % 3) + ")\n";
+    source += guest + std::to_string(1 + (i + 1) % 3) + ")\n";
+  }
+  return source;
+}
+
+TEST(Allocations, MannersCyclesAllocateOnlyForTheirActions) {
+  // Every cycle seats one guest: it makes two wmes and deletes one, and
+  // the conflict set takes hundreds of deltas.  What a cycle still
+  // allocates is its own, about 19 in all: the drained changes, the
+  // firing record, the RHS's new wmes and the memory cells of the new
+  // guest's name.  A copy per activation or per conflict-set delta would
+  // add hundreds.
+  constexpr int kGuests = 256;
+  rete::Interpreter interp(ops5::parse_program(manners_source(kGuests)));
+  interp.load_initial_wmes();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(interp.step());
+  const std::uint64_t tokens_before =
+      interp.match_engine().stats().tokens_generated;
+  rete::RunResult result;
+  const std::uint64_t allocations =
+      allocations_in([&] { result = interp.run(); });
+  ASSERT_EQ(result.outcome, rete::RunResult::Outcome::Halted);
+  ASSERT_EQ(result.firings, static_cast<std::size_t>(kGuests + 1));
+  const std::size_t cycles = result.cycles - 5;
+  EXPECT_GT(interp.match_engine().stats().tokens_generated - tokens_before,
+            100 * cycles);
+  EXPECT_LE(allocations, 24 * cycles)
+      << allocations << " allocations over " << cycles << " cycles";
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "src/common/rng.hpp"
 
 namespace mpps::rete {
 namespace {
@@ -33,7 +37,7 @@ TEST(ConflictSet, LexPrefersMostRecent) {
   cs.add(inst(0, {1, 5}));
   const auto sel = cs.select(Strategy::Lex);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(sel->token.wmes[1], WmeId{5});
+  EXPECT_EQ(sel->token[1], WmeId{5});
 }
 
 TEST(ConflictSet, LexComparesSortedDescending) {
@@ -43,7 +47,7 @@ TEST(ConflictSet, LexComparesSortedDescending) {
   cs.add(inst(0, {8, 7}));
   const auto sel = cs.select(Strategy::Lex);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(sel->token.wmes[0], WmeId{9});
+  EXPECT_EQ(sel->token[0], WmeId{9});
 }
 
 TEST(ConflictSet, LexLongerWinsOnPrefixTie) {
@@ -52,7 +56,7 @@ TEST(ConflictSet, LexLongerWinsOnPrefixTie) {
   cs.add(inst(0, {9, 5, 2}));
   const auto sel = cs.select(Strategy::Lex);
   ASSERT_TRUE(sel.has_value());
-  EXPECT_EQ(sel->token.wmes.size(), 3u);
+  EXPECT_EQ(sel->token.size(), 3u);
 }
 
 TEST(ConflictSet, SpecificityBreaksRecencyTies) {
@@ -71,10 +75,10 @@ TEST(ConflictSet, MeaPrefersFirstCeRecency) {
   cs.add(inst(0, {5, 2}));
   const auto lex = cs.select(Strategy::Lex);
   ASSERT_TRUE(lex.has_value());
-  EXPECT_EQ(lex->token.wmes[0], WmeId{3});
+  EXPECT_EQ(lex->token[0], WmeId{3});
   const auto mea = cs.select(Strategy::Mea);
   ASSERT_TRUE(mea.has_value());
-  EXPECT_EQ(mea->token.wmes[0], WmeId{5});
+  EXPECT_EQ(mea->token[0], WmeId{5});
 }
 
 TEST(ConflictSet, MeaFallsBackToLex) {
@@ -83,7 +87,7 @@ TEST(ConflictSet, MeaFallsBackToLex) {
   cs.add(inst(0, {5, 7}));
   const auto mea = cs.select(Strategy::Mea);
   ASSERT_TRUE(mea.has_value());
-  EXPECT_EQ(mea->token.wmes[1], WmeId{7});
+  EXPECT_EQ(mea->token[1], WmeId{7});
 }
 
 TEST(ConflictSet, RefractionExcludesFired) {
@@ -95,7 +99,7 @@ TEST(ConflictSet, RefractionExcludesFired) {
   cs.mark_fired(*first);
   auto second = cs.select(Strategy::Lex);
   ASSERT_TRUE(second.has_value());
-  EXPECT_NE(first->token.wmes[0], second->token.wmes[0]);
+  EXPECT_NE(first->token[0], second->token[0]);
   cs.mark_fired(*second);
   EXPECT_FALSE(cs.select(Strategy::Lex).has_value());
   EXPECT_EQ(cs.size(), 2u);  // still present, just refracted
@@ -151,6 +155,25 @@ TEST(ConflictSet, AllListsEverything) {
   cs.add(inst(0, {1}));
   cs.add(inst(1, {2}));
   EXPECT_EQ(cs.all().size(), 2u);
+}
+
+// An empty token takes no row; it still ranks, fires and leaves.
+TEST(ConflictSet, EmptyTokensTakeNoRow) {
+  ConflictSet cs = make_cs(3, 5);
+  cs.add(inst(0, {}));
+  cs.add(inst(1, {}));
+  cs.add(inst(0, {2}));
+  const auto mea = cs.select(Strategy::Mea);
+  ASSERT_TRUE(mea.has_value());
+  EXPECT_EQ(*mea, inst(0, {2}));
+  cs.mark_fired(*mea);
+  const auto lex = cs.select(Strategy::Lex);
+  ASSERT_TRUE(lex.has_value());
+  EXPECT_EQ(*lex, inst(1, {}));  // higher specificity
+  EXPECT_TRUE(cs.remove(inst(1, {})));
+  EXPECT_FALSE(cs.remove(inst(1, {})));
+  EXPECT_EQ(cs.select(Strategy::Lex), inst(0, {}));
+  EXPECT_EQ(cs.size(), 2u);
 }
 
 // Adding an instantiation twice keeps two copies; remove and mark_fired
@@ -218,6 +241,183 @@ TEST(ConflictSet, RemoveInAnyOrderFindsEverySurvivor) {
     ASSERT_EQ(sorted(cs.all()), sorted(live));
   }
   EXPECT_TRUE(cs.empty());
+}
+
+
+// ---------------------------------------------------------------------
+// Differential test: the set against a plain reference written from the
+// documented semantics.  The reference keeps its instantiations in a
+// vector in add order, so the first match is the earliest-added copy;
+// selection ranks every unfired one by an explicit key.
+
+/// The reference conflict set.
+class ReferenceSet {
+ public:
+  explicit ReferenceSet(std::vector<std::size_t> specificity)
+      : specificity_(std::move(specificity)) {}
+
+  void add(const Instantiation& i) { live_.push_back({i, false}); }
+
+  bool remove(const Instantiation& i) {
+    const auto it = find(i);
+    if (it == live_.end()) return false;
+    live_.erase(it);
+    return true;
+  }
+
+  void mark_fired(const Instantiation& i) {
+    const auto it = find(i);
+    if (it != live_.end()) it->fired = true;
+  }
+
+  [[nodiscard]] std::optional<Instantiation> select(Strategy s) const {
+    const Copy* best = nullptr;
+    Rank best_rank;
+    for (const Copy& c : live_) {
+      if (c.fired) continue;
+      Rank r = rank(c.inst, s);
+      if (best == nullptr || r > best_rank) {
+        best = &c;
+        best_rank = std::move(r);
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    return best->inst;
+  }
+
+  [[nodiscard]] std::size_t size() const { return live_.size(); }
+  [[nodiscard]] const Instantiation& at(std::size_t i) const {
+    return live_[i].inst;
+  }
+  [[nodiscard]] std::vector<Instantiation> all() const {
+    std::vector<Instantiation> out;
+    for (const Copy& c : live_) out.push_back(c.inst);
+    return out;
+  }
+
+ private:
+  struct Copy {
+    Instantiation inst;
+    bool fired = false;
+  };
+  // Larger ranks win.  MEA: the first CE's timetag, then LEX.  LEX: the
+  // timetags sorted descending, compared lexicographically (a proper
+  // prefix ranks below the longer list), then specificity, then the lower
+  // production id, then the raw token, compared lexicographically.
+  using Rank = std::tuple<std::uint64_t, std::vector<WmeId>, std::size_t,
+                          std::int64_t, std::vector<WmeId>>;
+
+  [[nodiscard]] Rank rank(const Instantiation& i, Strategy s) const {
+    std::vector<WmeId> recency = i.token.wmes;
+    std::sort(recency.rbegin(), recency.rend());
+    const std::uint64_t first =
+        s == Strategy::Mea && !i.token.wmes.empty() ? i.token.wmes[0].value()
+                                                    : 0;
+    return {first, recency, specificity_[i.production.value()],
+            -static_cast<std::int64_t>(i.production.value()), i.token.wmes};
+  }
+
+  std::vector<Copy>::iterator find(const Instantiation& i) {
+    return std::find_if(live_.begin(), live_.end(),
+                        [&](const Copy& c) { return c.inst == i; });
+  }
+
+  std::vector<std::size_t> specificity_;
+  std::vector<Copy> live_;
+};
+
+std::vector<Instantiation> sorted(std::vector<Instantiation> v) {
+  std::sort(v.begin(), v.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.production, x.token.wmes) <
+           std::tie(y.production, y.token.wmes);
+  });
+  return v;
+}
+
+TEST(ConflictSet, MatchesAReferenceOverSeededOperations) {
+  // Production 0 comes at token lengths 2 and 3; productions 1-3 at 1, 4
+  // and 5.  Productions 0 and 2 share a specificity, so recency ties fall
+  // through to the production id.  Timetags come from a small range, so
+  // recency lists tie often.
+  const std::vector<std::size_t> specificity{3, 5, 3, 4};
+  const std::vector<std::size_t> lengths{2, 1, 4, 5};
+  ConflictSet cs([&](ProductionId p) { return specificity[p.value()]; });
+  ReferenceSet ref(specificity);
+  std::vector<std::pair<Instantiation, bool>> hooked;
+  cs.set_delta_hook([&](const Instantiation& i, bool added) {
+    hooked.emplace_back(i, added);
+  });
+  Rng rng(20261019);
+  const auto fresh = [&] {
+    const auto p = static_cast<std::uint32_t>(rng.below(4));
+    std::size_t n = lengths[p];
+    if (p == 0 && rng.below(2) == 0) n = 3;
+    Token t;
+    for (std::size_t k = 0; k < n; ++k) t.wmes.push_back(WmeId{rng.below(24)});
+    return Instantiation{ProductionId{p}, std::move(t)};
+  };
+  const auto live = [&] {
+    return ref.at(static_cast<std::size_t>(rng.below(ref.size())));
+  };
+  std::size_t selected = 0;
+  std::size_t peak = 0;
+  for (int op = 0; op < 20000; ++op) {
+    // Adds outnumber removes below 48 entries and trail them above, so
+    // the set keeps growing and shrinking through that size.
+    const std::uint64_t kind =
+        rng.below(100) + (ref.size() < 48 ? 0 : 100);
+    hooked.clear();
+    if (kind < 45 || (kind >= 100 && kind < 125) || ref.size() == 0) {
+      // One add in six is a duplicate of a live instantiation.
+      const Instantiation i =
+          rng.below(6) != 0 || ref.size() == 0 ? fresh() : live();
+      cs.add(i);
+      ref.add(i);
+      ASSERT_EQ(hooked.size(), 1u);
+      EXPECT_EQ(hooked[0].first, i);
+      EXPECT_TRUE(hooked[0].second);
+    } else if ((kind % 100) < 70) {
+      // Mostly a live instantiation; one in six a fresh, mostly absent, one.
+      const Instantiation i = rng.below(6) != 0 ? live() : fresh();
+      const bool present = ref.remove(i);
+      ASSERT_EQ(cs.remove(i), present) << "op " << op;
+      ASSERT_EQ(hooked.size(), present ? 1u : 0u);
+      if (present) {
+        EXPECT_EQ(hooked[0].first, i);
+        EXPECT_FALSE(hooked[0].second);
+      }
+    } else if ((kind % 100) < 92) {
+      const Strategy s = rng.below(2) == 0 ? Strategy::Lex : Strategy::Mea;
+      const auto picked = cs.select(s);
+      const auto expected = ref.select(s);
+      ASSERT_EQ(picked.has_value(), expected.has_value()) << "op " << op;
+      if (picked.has_value()) {
+        ASSERT_EQ(*picked, *expected) << "op " << op;
+        cs.mark_fired(*picked);
+        ref.mark_fired(*expected);
+        ++selected;
+      }
+    } else {
+      const Instantiation i = rng.below(4) != 0 ? live() : fresh();
+      cs.mark_fired(i);
+      ref.mark_fired(i);
+    }
+    ASSERT_EQ(cs.size(), ref.size()) << "op " << op;
+    peak = std::max(peak, ref.size());
+    for (const Strategy s : {Strategy::Lex, Strategy::Mea}) {
+      const auto picked = cs.select(s);
+      const auto expected = ref.select(s);
+      ASSERT_EQ(picked.has_value(), expected.has_value()) << "op " << op;
+      if (picked.has_value()) {
+        ASSERT_EQ(*picked, *expected) << "op " << op;
+      }
+    }
+    ASSERT_EQ(sorted(cs.all()), sorted(ref.all())) << "op " << op;
+  }
+  // The stream reaches the interesting states: a set of some size, and
+  // many fires.
+  EXPECT_GT(peak, 40u);
+  EXPECT_GT(selected, 2000u);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/ops5/parser.hpp"
+#include "src/rete/memory.hpp"
 #include "src/rete/network.hpp"
 
 namespace mpps::rete {
@@ -330,6 +333,41 @@ TEST(Engine, SingleBucketStressWithFewBuckets) {
   f.add("(b ^v 2)");
   f.add("(b ^v 3)");
   EXPECT_EQ(f.cs_size(), 2u);
+}
+
+// bucket_of masks a power-of-two bucket count where bucket_index divides;
+// the two must agree on every count and every kind of key, or the
+// recorded traces would change.
+TEST(HashedMemory, BucketOfIsTheModuloIndexForEveryBucketCount) {
+  Rng rng(424242);
+  const auto random_value = [&]() -> Value {
+    switch (rng.below(4)) {
+      case 0: return Value{};  // absent
+      case 1: return Value::sym("s" + std::to_string(rng.below(64)));
+      case 2: return Value(static_cast<long>(rng.below(4096)) - 2048);
+      default:
+        return Value(static_cast<double>(rng.below(4096)) / 8.0 - 256.0);
+    }
+  };
+  for (const std::uint32_t n : {1u, 2u, 3u, 7u, 64u, 256u, 1000u, 65536u}) {
+    const HashedMemory memory(n);
+    for (int i = 0; i < 4000; ++i) {
+      std::vector<Value> key(rng.below(4));
+      for (Value& v : key) v = random_value();
+      const NodeId node{static_cast<std::uint32_t>(rng.below(512))};
+      ASSERT_EQ(memory.bucket_of(node, key), bucket_index(node, key, n))
+          << n << " buckets, node " << node.value();
+    }
+    // Int 2 equals Float 2.0, so the two keys share a bucket.
+    for (std::uint32_t node = 0; node < 64; ++node) {
+      const std::vector<Value> as_int{Value::sym("k"), Value(2L)};
+      const std::vector<Value> as_float{Value::sym("k"), Value(2.0)};
+      EXPECT_EQ(memory.bucket_of(NodeId{node}, as_int),
+                memory.bucket_of(NodeId{node}, as_float));
+      EXPECT_EQ(memory.bucket_of(NodeId{node}, as_int),
+                bucket_index(NodeId{node}, as_float, n));
+    }
+  }
 }
 
 TEST(StatsMirror, FlushAddsOnlyTheDeltaSinceTheLastFlush) {
