@@ -350,7 +350,7 @@ void ParallelEngine::begin_worker_phase(Worker& w) {
   recycle_items(w, w.next);
   w.pool_limit = std::max(w.pool_limit, w.taken);
   w.taken = 0;
-  w.provisional_counter = 0;
+  w.phase_activations = 0;
   w.round = 0;
   w.step_ns = 0;
 }
@@ -460,19 +460,17 @@ struct ParallelEngine::WorkerSink {
 
 void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
   ++w.wstats.activations;
-  PendingRecord pr;
-  pr.provisional_id = (static_cast<std::uint64_t>(w.index + 1) << 40) |
-                      ++w.provisional_counter;
-  pr.provisional_parent = item.parent;
-  pr.round = w.round;
-  pr.rec.node = item.node;
-  pr.rec.side = item.side;
-  pr.rec.tag = item.tag;
-  pr.rec.bucket = item.bucket;
+  ++w.phase_activations;
+  // Only a listener reads activation records, so only then does the
+  // activation get a provisional id and a record (see merge_phase).
+  const std::uint64_t provisional_id =
+      listener_ == nullptr ? 0
+                           : (static_cast<std::uint64_t>(w.index + 1) << 40) |
+                                 w.phase_activations;
   // Per-bucket load accounting: tokens touched = opposite-memory
   // candidates compared (comparisons delta) plus the activation itself.
   const std::uint64_t before = w.join.stats().comparisons;
-  WorkerSink sink{*this, w, pr.provisional_id};
+  WorkerSink sink{*this, w, provisional_id};
   const BetaNode& node = net_.beta(item.node);
   const rete::JoinEmitted emitted =
       item.side == Side::Left
@@ -480,9 +478,18 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
                                    item.operands, item.bucket, sink)
           : w.join.right_activation(node, item.tag, item.wme, item.operands,
                                     item.bucket, sink);
-  pr.rec.successors = emitted.successors;
-  pr.rec.instantiations = emitted.instantiations;
-  w.records.push_back(std::move(pr));
+  if (provisional_id != 0) {
+    PendingRecord& pr = w.records.emplace_back();
+    pr.provisional_id = provisional_id;
+    pr.provisional_parent = item.parent;
+    pr.round = w.round;
+    pr.rec.node = item.node;
+    pr.rec.side = item.side;
+    pr.rec.tag = item.tag;
+    pr.rec.bucket = item.bucket;
+    pr.rec.successors = emitted.successors;
+    pr.rec.instantiations = emitted.instantiations;
+  }
   if (w.lane != nullptr) {
     w.lane->bucket_load(item.bucket, w.join.stats().comparisons - before + 1);
   }
@@ -521,6 +528,15 @@ void ParallelEngine::process_change(const ops5::WmeChange& change) {
   require_usable();
   if (batching_) {
     pending_batch_.push_back(change);
+    return;
+  }
+  run_phase(&change, 1);
+}
+
+void ParallelEngine::process_change(ops5::WmeChange&& change) {
+  require_usable();
+  if (batching_) {
+    pending_batch_.push_back(std::move(change));
     return;
   }
   run_phase(&change, 1);
@@ -637,7 +653,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
     // can no longer exceed 100.
     std::uint64_t merged = 0;
     for (const auto& w : workers_) {
-      merged += w->records.size() + w->deltas.size();
+      merged += w->phase_activations + w->deltas.size();
     }
     const auto merge_start = obs::ProfLane::now();
     merge_phase();
@@ -679,9 +695,9 @@ void ParallelEngine::merge_phase() {
     w->merged_records = 0;
     w->merged_deltas = 0;
     if (listener_ == nullptr) {
-      // No one sees the records: only the ids they would take advance.
-      w->merged_records = w->records.size();
-      next_activation_ += w->records.size();
+      // No one sees records, so none were made: only the ids they would
+      // take advance.
+      next_activation_ += w->phase_activations;
     }
   }
   std::vector<ScheduledOp> ops;

@@ -172,6 +172,9 @@ class ParallelEngine final : public rete::MatchEngine {
   /// Runs one WM change as a bulk-synchronous phase across the workers
   /// (or, inside `begin_batch()`, defers it until `flush()`).
   void process_change(const ops5::WmeChange& change) override;
+  /// As above, but inside a batch the change is moved into the queue
+  /// instead of copied.
+  void process_change(ops5::WmeChange&& change);
 
   /// Runs the changes in chunks of `ParallelOptions::max_batch` fused
   /// phases (see the header comment).  The interpreter hands each act
@@ -285,12 +288,12 @@ class ParallelEngine final : public rete::MatchEngine {
     std::vector<WorkItem> surplus;
     std::uint64_t taken = 0;       // items taken this phase
     std::uint64_t pool_limit = 0;  // most items taken in any one phase
-    std::vector<PendingRecord> records;
+    std::vector<PendingRecord> records;  // only while a listener is set
     std::vector<ConflictDelta> deltas;
     std::vector<WmeId> delta_wmes;  // the deltas' tokens, back to back
     // Items gathered from other workers, one sample per round.
     std::vector<std::uint64_t> received;
-    std::uint64_t provisional_counter = 0;
+    std::uint64_t phase_activations = 0;  // items processed this phase
     std::uint32_t round = 0;
     std::uint64_t step_ns = 0;  // cooperative loop: this phase's steps
     std::size_t merged_records = 0;   // merge cursors into records

@@ -12,7 +12,10 @@ constexpr char kSessionAttrText[] = "__mpps-session";
 
 }  // namespace
 
-Symbol session_attr() { return Symbol::intern(kSessionAttrText); }
+Symbol session_attr() {
+  static const Symbol attr = Symbol::intern(kSessionAttrText);
+  return attr;
+}
 
 void ServeOptions::validate() const {
   if (admission_batch == 0) {
@@ -52,7 +55,11 @@ ServeEngine::ServeEngine(const ops5::Program& program, ServeOptions options)
       std::make_unique<pmatch::ParallelEngine>(net_, options_.match);
   engine_->conflict_set().set_delta_hook(
       [this](const rete::Instantiation& inst, bool added) {
-        phase_deltas_.emplace_back(inst, added);
+        const std::vector<WmeId>& token = inst.token.wmes;
+        deltas_.push_back(PhaseDelta{inst.production, added, kNoSlot,
+                                     static_cast<std::uint32_t>(token.size()),
+                                     delta_wmes_.size()});
+        delta_wmes_.insert(delta_wmes_.end(), token.begin(), token.end());
       });
   if (options_.metrics != nullptr) {
     obs::Registry& reg = *options_.metrics;
@@ -166,105 +173,112 @@ std::future<TxResult> ServeEngine::evict(std::uint32_t session_id) {
   return enqueue(session_id, Transaction{}, /*close=*/true);
 }
 
-void ServeEngine::resolve(SessionState& s, std::uint32_t ordinal, Pending& p,
-                          std::vector<ops5::WmeChange>& changes,
-                          Admitted& out) {
-  const std::string who = "session " + std::to_string(ordinal);
-  // Pass 1: validate against the session's live set with this
-  // transaction's own effects applied — add-then-remove inside one
-  // transaction is legal, remove-then-remove is not.
-  std::unordered_set<std::uint64_t> live = s.live;
-  std::unordered_set<std::uint64_t> removed_in_tx;
-  std::uint64_t next_local = s.next_local;
-  std::vector<std::uint64_t> locals;  // per Add op, the id it gets
+void ServeEngine::resolve(SessionState& s, Pending& p, TxResult& result) {
+  const std::uint32_t ordinal = p.ordinal;
   if (p.close) {
     // Eviction: retract everything live, smallest timetag first (a
     // deterministic order so replays compare).
-    std::vector<std::uint64_t> doomed(s.live.begin(), s.live.end());
+    std::vector<std::uint64_t> doomed;
+    doomed.reserve(s.live.size());
+    for (const auto& entry : s.live) doomed.push_back(entry.first);
     std::sort(doomed.begin(), doomed.end());
     Transaction retraction;
     for (std::uint64_t local : doomed) retraction.remove(WmeId{local});
     p.tx = std::move(retraction);
   }
-  for (const Transaction::Op& op : p.tx.ops_) {
-    if (op.kind == Transaction::Op::Kind::Add) {
-      std::uint64_t local = 0;
-      if (op.wme.id().valid()) {
-        local = op.wme.id().value();
-        if (local == 0 || local > kLocalMask) {
-          throw UsageError("ServeEngine: " + who + ": wme id " +
-                           std::to_string(local) +
-                           " outside the 40-bit session-local id space");
+  const auto reject = [ordinal](const std::string& what) {
+    throw UsageError("ServeEngine: session " + std::to_string(ordinal) +
+                     ": " + what);
+  };
+  // One pass validates each op against the live set with this
+  // transaction's earlier ops applied (add-then-remove inside one
+  // transaction is legal, remove-then-remove is not), applies it, and
+  // appends its engine change.  touched_ lists every id whose mark the
+  // transaction set, so committing or undoing it visits only those.
+  const std::uint64_t base = std::uint64_t{ordinal} << kSessionShift;
+  const std::size_t first_change = changes_.size();
+  std::uint64_t next_local = s.next_local;
+  std::size_t removed = 0;  // ids marked removed, still in s.live
+  touched_.clear();
+  try {
+    for (Transaction::Op& op : p.tx.ops_) {
+      if (op.kind == Transaction::Op::Kind::Add) {
+        std::uint64_t local = 0;
+        if (op.wme.id().valid()) {
+          local = op.wme.id().value();
+          if (local == 0 || local > kLocalMask) {
+            reject("wme id " + std::to_string(local) +
+                   " outside the 40-bit session-local id space");
+          }
+          next_local = std::max(next_local, local + 1);
+        } else {
+          local = next_local++;
         }
-        if (live.contains(local)) {
-          throw UsageError("ServeEngine: " + who + ": wme id " +
-                           std::to_string(local) + " is already live");
-        }
-        if (removed_in_tx.contains(local)) {
+        const auto [it, fresh] = s.live.try_emplace(local);
+        if (!fresh) {
           // The engine's per-phase wme table cannot hold two lifetimes of
           // one timetag in a single fused phase; OPS5 modify semantics
           // use a fresh timetag anyway.
-          throw UsageError("ServeEngine: " + who + ": wme id " +
-                           std::to_string(local) +
-                           " re-added after a remove in the same "
-                           "transaction (use a fresh id)");
+          reject("wme id " + std::to_string(local) +
+                 (it->second.removed
+                      ? " re-added after a remove in the same transaction "
+                        "(use a fresh id)"
+                      : " is already live"));
         }
-        next_local = std::max(next_local, local + 1);
+        touched_.push_back(local);
+        it->second.add = static_cast<std::uint32_t>(changes_.size() + 1);
+        if (s.max_live_wmes != 0 && s.live.size() - removed > s.max_live_wmes) {
+          reject("transaction exceeds the session's max_live_wmes bound (" +
+                 std::to_string(s.max_live_wmes) + ")");
+        }
+        result.added.push_back(WmeId{local});
+        ops5::WmeChange& change = changes_.emplace_back();
+        change.wme = std::move(op.wme);
+        change.wme.set(session_attr(), ops5::Value{static_cast<long>(ordinal)});
+        change.wme.rebind_id(WmeId{base | local});
       } else {
-        local = next_local++;
-      }
-      live.insert(local);
-      if (s.max_live_wmes != 0 && live.size() > s.max_live_wmes) {
-        throw UsageError("ServeEngine: " + who + ": transaction exceeds the "
-                         "session's max_live_wmes bound (" +
-                         std::to_string(s.max_live_wmes) + ")");
-      }
-      locals.push_back(local);
-    } else {
-      if (op.local == 0 || op.local > kLocalMask ||
-          !live.erase(op.local)) {
-        throw UsageError("ServeEngine: " + who + ": remove of unknown wme id " +
-                         std::to_string(op.local));
-      }
-      removed_in_tx.insert(op.local);
-    }
-  }
-  // Pass 2: build the stamped, namespaced engine changes and commit the
-  // liveness updates.
-  const std::uint64_t base = std::uint64_t{ordinal} << kSessionShift;
-  out.first_change = changes.size();
-  // Local id -> index (into `changes`) of this transaction's own add, so
-  // an add+remove pair fused into one phase carries matching content.
-  std::unordered_map<std::uint64_t, std::size_t> tx_adds;
-  std::size_t add_index = 0;
-  for (const Transaction::Op& op : p.tx.ops_) {
-    ops5::WmeChange change;
-    if (op.kind == Transaction::Op::Kind::Add) {
-      const std::uint64_t local = locals[add_index++];
-      change.kind = ops5::WmeChange::Kind::Add;
-      change.wme = op.wme;
-      change.wme.set(session_attr(),
-                     ops5::Value{static_cast<long>(ordinal)});
-      change.wme.rebind_id(WmeId{base | local});
-      out.result.added.push_back(WmeId{local});
-      tx_adds[local] = changes.size();
-    } else {
-      change.kind = ops5::WmeChange::Kind::Delete;
-      const WmeId engine_id{base | op.local};
-      // Deletes carry full content: from this transaction's own add if
-      // the wme never reached the engine, else from the engine's table.
-      if (auto it = tx_adds.find(op.local); it != tx_adds.end()) {
-        change.wme = changes[it->second].wme;
-        tx_adds.erase(it);
-      } else {
-        change.wme = engine_->wme(engine_id);
-        change.wme.rebind_id(engine_id);
+        const auto it = s.live.find(op.local);
+        if (it == s.live.end() || it->second.removed) {
+          reject("remove of unknown wme id " + std::to_string(op.local));
+        }
+        TxMark& mark = it->second;
+        mark.removed = true;
+        ++removed;
+        if (mark.add == 0) touched_.push_back(op.local);
+        ops5::WmeChange& change = changes_.emplace_back();
+        change.kind = ops5::WmeChange::Kind::Delete;
+        // Deletes carry full content: from this transaction's own add if
+        // the wme never reached the engine, else from the engine's table.
+        if (mark.add != 0) {
+          change.wme = changes_[mark.add - 1].wme;
+        } else {
+          const WmeId engine_id{base | op.local};
+          change.wme = engine_->wme(engine_id);
+          change.wme.rebind_id(engine_id);
+        }
       }
     }
-    changes.push_back(std::move(change));
+  } catch (const UsageError&) {
+    for (std::uint64_t local : touched_) {
+      const auto it = s.live.find(local);
+      if (it->second.add != 0) {
+        s.live.erase(it);
+      } else {
+        it->second.removed = false;
+      }
+    }
+    changes_.erase(changes_.begin() + static_cast<std::ptrdiff_t>(first_change),
+                   changes_.end());
+    throw;
   }
-  out.change_count = changes.size() - out.first_change;
-  s.live = std::move(live);
+  for (std::uint64_t local : touched_) {
+    const auto it = s.live.find(local);
+    if (it->second.removed) {
+      s.live.erase(it);
+    } else {
+      it->second = TxMark{};
+    }
+  }
   s.next_local = next_local;
   if (p.close) {
     s.open = false;
@@ -273,64 +287,62 @@ void ServeEngine::resolve(SessionState& s, std::uint32_t ordinal, Pending& p,
   }
 }
 
-std::vector<ServeEngine::Admitted> ServeEngine::admit(
-    std::vector<ops5::WmeChange>& changes) {
-  std::vector<Admitted> batch;
-  std::unordered_set<std::uint32_t> taken;
+void ServeEngine::admit() {
+  ++admission_;
   for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < options_.admission_batch;) {
-    if (!taken.insert(it->ordinal).second) {
+       it != queue_.end() && batch_.size() < options_.admission_batch;) {
+    SessionState& s = sessions_[it->ordinal];
+    if (s.admission == admission_) {
       ++it;  // one transaction per session per phase
       continue;
     }
-    Admitted a;
-    a.pending = std::move(*it);
+    s.admission = admission_;
+    Admitted& a = batch_.emplace_back(std::move(*it));
     it = queue_.erase(it);
-    SessionState& s = sessions_[a.pending.ordinal];
     try {
-      resolve(s, a.pending.ordinal, a.pending, changes, a);
-      batch.push_back(std::move(a));
+      resolve(s, a.pending, a.result);
+      s.slot = static_cast<std::uint32_t>(batch_.size() - 1);
     } catch (const UsageError&) {
       ++counters_.rejected;
       ++counters_.transactions;
+      s.slot = kNoSlot;
       a.pending.promise.set_exception(std::current_exception());
+      batch_.pop_back();
     }
   }
   if (queue_gauge_ != nullptr) {
     queue_gauge_->set(static_cast<std::int64_t>(queue_.size()));
   }
-  return batch;
 }
 
 void ServeEngine::dispatcher_main() {
   for (;;) {
-    std::vector<ops5::WmeChange> changes;
-    std::vector<Admitted> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and fully drained
-      batch = admit(changes);
+      admit();
     }
     space_cv_.notify_all();
-    if (batch.empty()) continue;
+    if (batch_.empty()) continue;
 
     // The fused BSP phase.  Only this thread drives the engine, so the
-    // conflict-delta hook's appends to phase_deltas_ are unsynchronized
-    // by design.
-    phase_deltas_.clear();
+    // conflict-delta hook's appends to deltas_ are unsynchronized by
+    // design.
+    const std::size_t change_count = changes_.size();
     engine_->begin_batch();
-    for (const ops5::WmeChange& change : changes) {
-      engine_->process_change(change);
+    for (ops5::WmeChange& change : changes_) {
+      engine_->process_change(std::move(change));
     }
+    changes_.clear();
     engine_->flush();
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      complete(batch, changes.size());
+      complete(change_count);
     }
     const auto now = std::chrono::steady_clock::now();
-    for (Admitted& a : batch) {
+    for (Admitted& a : batch_) {
       a.result.latency_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               now - a.pending.enqueued)
@@ -343,6 +355,7 @@ void ServeEngine::dispatcher_main() {
       }
       a.pending.promise.set_value(std::move(a.result));
     }
+    batch_.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);
       last_complete_ = now;
@@ -350,58 +363,65 @@ void ServeEngine::dispatcher_main() {
   }
 }
 
-void ServeEngine::complete(std::vector<Admitted>& batch,
-                           std::size_t change_count) {
-  std::unordered_map<std::uint32_t, Admitted*> by_session;
-  for (Admitted& a : batch) {
-    by_session.emplace(a.pending.ordinal, &a);
-    a.result.phase = engine_->phases();
-    a.result.fused_transactions = static_cast<std::uint32_t>(batch.size());
+std::uint32_t ServeEngine::owner_of(const PhaseDelta& d) const {
+  // Every wme of a token carries its session in the id's top bits; the
+  // partition join test makes mixed tokens impossible, so any
+  // disagreement (or a session outside this batch) is a leak.
+  const std::span<const WmeId> token(delta_wmes_.data() + d.begin, d.size);
+  if (token.empty()) return kNoSlot;
+  const std::uint32_t sid = session_of(token.front());
+  for (WmeId w : token) {
+    if (session_of(w) != sid) return kNoSlot;
   }
-  for (auto& [inst, added] : phase_deltas_) {
-    // Every wme of a token carries its session in the id's top bits; the
-    // partition join test makes mixed tokens impossible, so any
-    // disagreement (or a session outside this batch) is a leak.
-    Admitted* owner = nullptr;
-    bool leaked = inst.token.wmes.empty();
-    for (std::size_t i = 0; i < inst.token.wmes.size(); ++i) {
-      const std::uint32_t sid = session_of(inst.token.wmes[i]);
-      if (i == 0) {
-        auto it = by_session.find(sid);
-        if (it == by_session.end()) {
-          leaked = true;
-          break;
-        }
-        owner = it->second;
-      } else if (sid != session_of(inst.token.wmes[0])) {
-        leaked = true;
-        break;
-      }
-    }
-    if (leaked || owner == nullptr) {
+  if (sid >= sessions_.size() || sessions_[sid].admission != admission_) {
+    return kNoSlot;
+  }
+  return sessions_[sid].slot;
+}
+
+void ServeEngine::complete(std::size_t change_count) {
+  const std::uint64_t phase = engine_->phases();
+  const auto fused = static_cast<std::uint32_t>(batch_.size());
+  for (Admitted& a : batch_) {
+    a.result.phase = phase;
+    a.result.fused_transactions = fused;
+  }
+  // Two passes, so each transaction's `fired` is sized once.
+  for (PhaseDelta& d : deltas_) {
+    d.owner = owner_of(d);
+    if (d.owner == kNoSlot) {
       ++counters_.cross_session_deltas;
       if (cross_metric_ != nullptr) cross_metric_->add(1);
-      continue;
+    } else if (d.added) {
+      ++batch_[d.owner].fired;
     }
-    if (added) {
-      owner->result.fired.push_back(inst);
+  }
+  for (Admitted& a : batch_) a.result.fired.reserve(a.fired);
+  for (const PhaseDelta& d : deltas_) {
+    if (d.owner == kNoSlot) continue;
+    Admitted& owner = batch_[d.owner];
+    if (d.added) {
+      const WmeId* token = delta_wmes_.data() + d.begin;
+      owner.result.fired.push_back(rete::Instantiation{
+          d.production, rete::Token{{token, token + d.size}}});
       ++counters_.activations;
-      sessions_[owner->pending.ordinal].activations += 1;
+      sessions_[owner.pending.ordinal].activations += 1;
       if (activation_metric_ != nullptr) activation_metric_->add(1);
     } else {
-      ++owner->result.retracted;
+      ++owner.result.retracted;
       ++counters_.retractions;
       if (retraction_metric_ != nullptr) retraction_metric_->add(1);
     }
   }
-  phase_deltas_.clear();
+  deltas_.clear();
+  delta_wmes_.clear();
   ++counters_.batches;
   counters_.changes += change_count;
-  counters_.transactions += batch.size();
+  counters_.transactions += batch_.size();
   counters_.max_fused =
-      std::max(counters_.max_fused, static_cast<std::uint64_t>(batch.size()));
-  if (tx_metric_ != nullptr) tx_metric_->add(batch.size());
-  for (const Admitted& a : batch) {
+      std::max(counters_.max_fused, static_cast<std::uint64_t>(batch_.size()));
+  if (tx_metric_ != nullptr) tx_metric_->add(batch_.size());
+  for (const Admitted& a : batch_) {
     SessionState& s = sessions_[a.pending.ordinal];
     ++s.transactions;
     if (s.tx_counter != nullptr) s.tx_counter->add(1);

@@ -38,7 +38,7 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -288,15 +288,30 @@ class ServeEngine {
   static constexpr std::uint64_t kLocalMask =
       (std::uint64_t{1} << kSessionShift) - 1;
 
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// What the transaction being admitted did to one id of its session's
+  /// live set; every other id holds the default.
+  struct TxMark {
+    std::uint32_t add = 0;  // 1 + the index of its add in changes_, or 0
+    bool removed = false;
+  };
+
   struct SessionState {
     std::string label;
     bool open = true;
     bool closing = false;  // eviction queued; rejects new submits
     std::size_t max_live_wmes = 0;
     std::uint64_t next_local = 1;
-    std::unordered_set<std::uint64_t> live;
+    /// Live local ids.  While a transaction is admitted, an id it removed
+    /// stays here marked until the transaction commits.
+    std::unordered_map<std::uint64_t, TxMark> live;
     std::uint64_t transactions = 0;
     std::uint64_t activations = 0;
+    /// The last admission that took one of its transactions, and that
+    /// transaction's slot in batch_ (kNoSlot when it was rejected).
+    std::uint64_t admission = 0;
+    std::uint32_t slot = kNoSlot;
     obs::Gauge* wm_gauge = nullptr;
     obs::Counter* tx_counter = nullptr;
   };
@@ -309,26 +324,42 @@ class ServeEngine {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// A Pending admitted into the current fused batch, resolved to engine
-  /// changes.
+  /// A Pending admitted into the current fused batch.
   struct Admitted {
+    // Takes the queued Pending's promise; a default-made one would
+    // allocate a shared state of its own first.
+    explicit Admitted(Pending p) : pending(std::move(p)) {}
     Pending pending;
     TxResult result;
-    std::size_t first_change = 0;  // offset into the fused change vector
-    std::size_t change_count = 0;
+    std::uint32_t fired = 0;  // its conflict-set adds, counted by complete
+  };
+
+  /// One conflict-set delta of the running phase; its token is the `size`
+  /// wmes at `begin` in delta_wmes_.
+  struct PhaseDelta {
+    ProductionId production;
+    bool added = false;
+    std::uint32_t owner = kNoSlot;  // its transaction's slot, or a leak
+    std::uint32_t size = 0;
+    std::size_t begin = 0;
   };
 
   std::future<TxResult> enqueue(std::uint32_t ordinal, Transaction tx,
                                 bool close);
   void dispatcher_main();
-  /// Pops <= admission_batch transactions, one per session, resolves them
-  /// to stamped+namespaced changes (rejections settle their promise right
-  /// here) and updates session liveness.  Caller holds mu_.
-  std::vector<Admitted> admit(std::vector<ops5::WmeChange>& changes);
-  /// Validates + builds one transaction's changes; throws UsageError.
-  void resolve(SessionState& s, std::uint32_t ordinal, Pending& p,
-               std::vector<ops5::WmeChange>& changes, Admitted& out);
-  void complete(std::vector<Admitted>& batch, std::size_t change_count);
+  /// Moves <= admission_batch queued transactions, one per session, into
+  /// batch_ and their stamped, namespaced changes into changes_
+  /// (rejections settle their promise right here), and updates session
+  /// liveness.  Caller holds mu_.
+  void admit();
+  /// Validates one transaction against its session's live set, editing
+  /// the set in place and appending its changes to changes_.  On the
+  /// first bad op it undoes its edits and throws UsageError.
+  void resolve(SessionState& s, Pending& p, TxResult& result);
+  /// The batch_ slot of the transaction whose session every wme of the
+  /// delta's token names, or kNoSlot.
+  [[nodiscard]] std::uint32_t owner_of(const PhaseDelta& d) const;
+  void complete(std::size_t change_count);
 
   ServeOptions options_;
   rete::Network net_;
@@ -342,8 +373,17 @@ class ServeEngine {
   bool stop_ = false;
   ServeStats counters_;  // sessions field unused; filled by stats()
 
-  // Dispatcher-only (no lock): the delta hook appends here during flush.
-  std::vector<std::pair<rete::Instantiation, bool>> phase_deltas_;
+  std::uint64_t admission_ = 0;  // admissions so far: the session stamp
+
+  // The dispatcher's buffers; each is emptied, not freed, between phases.
+  // Admission fills batch_ and changes_ under mu_; the phase moves the
+  // changes into the engine, and the delta hook appends to deltas_ and
+  // delta_wmes_ during flush, from the dispatcher, without the lock.
+  std::vector<Admitted> batch_;
+  std::vector<ops5::WmeChange> changes_;
+  std::vector<std::uint64_t> touched_;  // ids resolve marked in live
+  std::vector<PhaseDelta> deltas_;
+  std::vector<WmeId> delta_wmes_;
 
   obs::Histogram latency_hist_;
   bool saw_tx_ = false;

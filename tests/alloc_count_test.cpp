@@ -7,9 +7,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
+#include <future>
 #include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/ops5/parser.hpp"
@@ -18,6 +21,7 @@
 #include "src/rete/engine.hpp"
 #include "src/rete/interp.hpp"
 #include "src/rete/network.hpp"
+#include "src/serve/serve.hpp"
 
 namespace {
 
@@ -263,6 +267,120 @@ TEST(Allocations, MannersCyclesAllocateOnlyForTheirActions) {
             100 * cycles);
   EXPECT_LE(allocations, 24 * cycles)
       << allocations << " allocations over " << cycles << " cycles";
+}
+
+TEST(Allocations, ServeTransactionsAllocateOnlyForTheirResults) {
+  // The shape of perfbench's `tenants`: 32 sessions on 2 match threads,
+  // admission batch 16.  Each session holds 16 slots of 2 `item`s and 8
+  // `tag`s; each transaction adds a `trigger`, which fires 2
+  // instantiations, and once 8 triggers are live retracts the session's
+  // oldest, which retracts 2.  A transaction still allocates about 10
+  // times, 9 of them its own: the promise's two, `added`, `fired` and its
+  // two tokens, the stamped session attribute, the delete's content and
+  // the live-set node; now and then a match memory cell grows or the
+  // admission queue takes a block.  Copying the session's live set would
+  // add one per live wme.
+  constexpr std::size_t kSessions = 32;
+  constexpr int kSlots = 16;
+  constexpr std::size_t kLiveTriggers = 8;
+  constexpr int kWarmRounds = 16;
+  constexpr int kRounds = 16;
+  std::string source;
+  for (int s = 0; s < kSlots; ++s) {
+    const std::string slot = std::to_string(s);
+    source += "(p match" + slot + " (trigger ^slot " + slot +
+              " ^g <g>) (item ^slot " + slot +
+              " ^g <g> ^v <v>) (tag ^v <v>) --> (halt))\n";
+  }
+  serve::ServeOptions options;
+  options.match.threads = 2;
+  options.admission_batch = 16;
+  serve::ServeEngine engine(ops5::parse_program(source), options);
+
+  // Each slot's items share a ^g; ^g and ^v vary with the session.
+  const auto group = [](std::size_t c, int slot) {
+    return std::to_string((static_cast<int>(c) + slot) % 4);
+  };
+  struct Client {
+    serve::Session session;
+    std::uint64_t next_local = 1;
+    std::deque<std::uint64_t> triggers;  // live, oldest first
+  };
+  std::vector<Client> clients(kSessions);
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    clients[c].session = engine.open_session();
+    serve::Transaction install;
+    for (int slot = 0; slot < kSlots; ++slot) {
+      for (int i = 0; i < 2; ++i) {
+        const int v = (static_cast<int>(c) + 3 * slot + 5 * i) % 8;
+        install.add(ops5::parse_wme("(item ^slot " + std::to_string(slot) +
+                                    " ^g " + group(c, slot) + " ^v " +
+                                    std::to_string(v) + ")"));
+      }
+    }
+    for (int v = 0; v < 8; ++v) {
+      install.add(ops5::parse_wme("(tag ^v " + std::to_string(v) + ")"));
+    }
+    clients[c].next_local += install.size();
+    clients[c].session.transact(std::move(install));
+  }
+  struct Planned {
+    serve::Transaction tx;
+    std::uint64_t trigger = 0;  // the local id its add gets
+    bool retracts = false;
+  };
+  // Round r's transaction for every session.
+  const auto plan_round = [&](int r) {
+    std::vector<Planned> round(kSessions);
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      Client& client = clients[c];
+      Planned& p = round[c];
+      if (client.triggers.size() == kLiveTriggers) {
+        p.tx.remove(WmeId{client.triggers.front()});
+        client.triggers.pop_front();
+        p.retracts = true;
+      }
+      const int slot = (static_cast<int>(c) * 7 + r * 5) % kSlots;
+      p.tx.add(ops5::parse_wme("(trigger ^slot " + std::to_string(slot) +
+                               " ^g " + group(c, slot) + ")"));
+      p.trigger = client.next_local++;
+      client.triggers.push_back(p.trigger);
+    }
+    return round;
+  };
+  std::vector<std::future<serve::TxResult>> futures;
+  futures.reserve(kSessions);
+  std::uint64_t wrong = 0;  // results other than the planned ones
+  const auto run_round = [&](std::vector<Planned>& round) {
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      futures.push_back(clients[c].session.submit(std::move(round[c].tx)));
+    }
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      const serve::TxResult r = futures[c].get();
+      wrong += r.added.size() != 1 ||
+               r.added.front().value() != round[c].trigger ||
+               r.fired.size() != 2 ||
+               r.retracted != (round[c].retracts ? 2u : 0u);
+    }
+    futures.clear();
+  };
+  for (int r = 0; r < kWarmRounds; ++r) {
+    std::vector<Planned> round = plan_round(r);
+    run_round(round);
+  }
+  std::vector<std::vector<Planned>> rounds;
+  for (int r = 0; r < kRounds; ++r) {
+    rounds.push_back(plan_round(kWarmRounds + r));
+  }
+  const std::uint64_t allocations = allocations_in([&] {
+    for (std::vector<Planned>& round : rounds) run_round(round);
+  });
+  EXPECT_EQ(wrong, 0u);
+  const std::uint64_t transactions = std::uint64_t{kRounds} * kSessions;
+  EXPECT_LE(allocations, 14 * transactions)
+      << allocations << " allocations over " << transactions
+      << " transactions";
+  EXPECT_EQ(engine.stats().cross_session_deltas, 0u);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/ops5/parser.hpp"
 #include "src/ops5/wme.hpp"
 #include "src/rete/engine.hpp"
@@ -315,6 +319,235 @@ TEST(ServeEngine, ShutdownDrainsInFlightTransactions) {
   Transaction late;
   late.add(wme("(item ^key z)"));
   EXPECT_THROW(s.submit(std::move(late)), RuntimeError);
+}
+
+// --- Admission against a copying reference --------------------------------
+
+/// One op of a generated transaction: an add with an explicit local id or
+/// none, or a remove of a local id.
+struct GenOp {
+  bool add = true;
+  std::optional<std::uint64_t> id;
+};
+
+/// A session as docs/SERVING.md and serve.hpp state its admission rules,
+/// applied the plain way: each transaction is checked against a copy of
+/// the live set, and the copy replaces the set only if every op passes.
+struct RefSession {
+  std::set<std::uint64_t> live;
+  std::uint64_t next_local = 1;
+  std::size_t max_live_wmes = 0;
+  std::uint64_t transactions = 0;  // admitted
+  bool open = true;
+};
+
+/// The ids a transaction's adds get, or the text of its UsageError.
+struct RefOutcome {
+  std::vector<std::uint64_t> added;
+  std::string error;  // empty when admitted
+};
+
+RefOutcome reference_admit(RefSession& s, std::uint32_t ordinal,
+                           const std::vector<GenOp>& ops) {
+  const std::string who =
+      "ServeEngine: session " + std::to_string(ordinal) + ": ";
+  std::set<std::uint64_t> live = s.live;
+  std::set<std::uint64_t> removed;
+  std::uint64_t next_local = s.next_local;
+  RefOutcome out;
+  for (const GenOp& op : ops) {
+    if (!op.add) {
+      if (live.erase(*op.id) == 0) {
+        return {{}, who + "remove of unknown wme id " + std::to_string(*op.id)};
+      }
+      removed.insert(*op.id);
+      continue;
+    }
+    std::uint64_t id = 0;
+    if (op.id.has_value()) {
+      id = *op.id;
+      const std::string named = who + "wme id " + std::to_string(id);
+      if (id == 0 || id >= (std::uint64_t{1} << 40)) {
+        return {{}, named + " outside the 40-bit session-local id space"};
+      }
+      if (live.contains(id)) return {{}, named + " is already live"};
+      if (removed.contains(id)) {
+        return {{}, named + " re-added after a remove in the same "
+                            "transaction (use a fresh id)"};
+      }
+      next_local = std::max(next_local, id + 1);
+    } else {
+      id = next_local++;
+    }
+    live.insert(id);
+    if (s.max_live_wmes != 0 && live.size() > s.max_live_wmes) {
+      return {{}, who + "transaction exceeds the session's max_live_wmes "
+                        "bound (" + std::to_string(s.max_live_wmes) + ")"};
+    }
+    out.added.push_back(id);
+  }
+  s.live = std::move(live);
+  s.next_local = next_local;
+  ++s.transactions;
+  return out;
+}
+
+/// A seeded transaction over every kind of op admission must judge.
+std::vector<GenOp> generate_ops(Rng& rng, const RefSession& s) {
+  const auto live_id = [&]() -> std::optional<std::uint64_t> {
+    if (s.live.empty()) return std::nullopt;
+    return *std::next(s.live.begin(),
+                      static_cast<std::ptrdiff_t>(rng.below(s.live.size())));
+  };
+  constexpr std::uint64_t kOutOfRange = std::uint64_t{1} << 40;
+  std::vector<GenOp> ops;
+  const std::uint64_t count = 1 + rng.below(4);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    switch (rng.below(16)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4:
+      case 5:
+        ops.push_back({true, std::nullopt});
+        break;
+      case 6:  // explicit and fresh, unless an earlier op took it
+        ops.push_back({true, s.next_local + rng.below(4)});
+        break;
+      case 7:  // explicit and live
+        ops.push_back({true, live_id()});
+        break;
+      case 8:
+        ops.push_back(
+            {true, rng.below(2) == 0 ? 0 : kOutOfRange + rng.below(2)});
+        break;
+      case 9:
+      case 10:
+      case 11:
+        if (const auto id = live_id()) ops.push_back({false, id});
+        break;
+      case 12: {  // unknown, or outside the id space
+        const std::uint64_t pick = rng.below(3);
+        ops.push_back({false, pick == 0   ? s.next_local + 50 + rng.below(9)
+                              : pick == 1 ? 0
+                                          : kOutOfRange});
+        break;
+      }
+      case 13: {  // add, then remove, in one transaction
+        const std::uint64_t id = s.next_local + 10 + rng.below(5);
+        ops.push_back({true, id});
+        ops.push_back({false, id});
+        break;
+      }
+      case 14:  // remove, then re-add under the same id
+        if (const auto id = live_id()) {
+          ops.push_back({false, id});
+          ops.push_back({true, id});
+        }
+        break;
+      default:  // a burst of adds, past any small bound
+        for (int k = 0; k < 6; ++k) ops.push_back({true, std::nullopt});
+        break;
+    }
+  }
+  return ops;
+}
+
+TEST(ServeEngine, AdmissionAgreesWithACopyingReference) {
+  ServeEngine engine(ops5::parse_program(kPairProgram));
+  constexpr std::uint32_t kSessions = 3;
+  constexpr int kTransactions = 2400;
+  constexpr int kEvictAt = 1800;  // session 2 is evicted here
+  std::vector<Session> sessions;
+  std::vector<RefSession> ref(kSessions);
+  for (std::uint32_t i = 0; i < kSessions; ++i) {
+    SessionOptions options;
+    if (i == 1) options.max_live_wmes = 12;
+    ref[i].max_live_wmes = options.max_live_wmes;
+    sessions.push_back(engine.open_session(options));
+  }
+  Rng rng(20261020);
+  std::uint64_t rejected = 0;
+  // Rejections by kind, each named by a piece of its text.
+  std::vector<std::pair<std::string, int>> kinds = {
+      {"outside the 40-bit", 0},
+      {"is already live", 0},
+      {"re-added after a remove", 0},
+      {"max_live_wmes bound", 0},
+      {"remove of unknown", 0}};
+  const auto check_stats = [&](int t) {
+    const ServeStats stats = engine.stats();
+    ASSERT_EQ(stats.rejected, rejected) << "transaction " << t;
+    for (std::uint32_t i = 0; i < kSessions; ++i) {
+      EXPECT_EQ(stats.sessions[i].live_wmes, ref[i].live.size())
+          << "session " << i << " after transaction " << t;
+      EXPECT_EQ(stats.sessions[i].transactions, ref[i].transactions)
+          << "session " << i << " after transaction " << t;
+    }
+  };
+  const auto run = [&](int t, std::uint32_t i, const std::vector<GenOp>& ops) {
+    Transaction tx;
+    for (const GenOp& op : ops) {
+      if (!op.add) {
+        tx.remove(WmeId{*op.id});
+        continue;
+      }
+      const std::string cls = rng.below(4) == 0 ? "probe" : "item";
+      ops5::Wme w =
+          wme("(" + cls + " ^key k" + std::to_string(rng.below(6)) + ")");
+      if (op.id.has_value()) w.rebind_id(WmeId{*op.id});
+      tx.add(std::move(w));
+    }
+    const RefOutcome expected = reference_admit(ref[i], i, ops);
+    std::vector<std::uint64_t> added;
+    std::string error;
+    try {
+      for (WmeId id : sessions[i].transact(std::move(tx)).added) {
+        added.push_back(id.value());
+      }
+    } catch (const UsageError& e) {
+      error = e.what();
+    }
+    if (!expected.error.empty()) ++rejected;
+    for (auto& [text, seen] : kinds) {
+      seen += expected.error.find(text) != std::string::npos;
+    }
+    EXPECT_EQ(error, expected.error) << "transaction " << t;
+    EXPECT_EQ(added, expected.added) << "transaction " << t;
+    check_stats(t);
+    return added;
+  };
+
+  // A rejected transaction that took ids, explicit and id-less, leaves
+  // the next id-less add the id it would have had.
+  const std::uint64_t next = ref[0].next_local;
+  run(-2, 0,
+      {{true, std::nullopt}, {true, next + 40}, {false, next + 99}});
+  EXPECT_EQ(run(-1, 0, {{true, std::nullopt}}),
+            std::vector<std::uint64_t>{next});
+
+  for (int t = 0; t < kTransactions; ++t) {
+    if (t == kEvictAt) {
+      EXPECT_TRUE(engine.evict(2).get().added.empty());
+      ref[2].live.clear();
+      ref[2].open = false;
+      ++ref[2].transactions;
+      check_stats(t);
+      continue;
+    }
+    auto i = static_cast<std::uint32_t>(rng.below(kSessions));
+    if (!ref[i].open) i = static_cast<std::uint32_t>(rng.below(2));
+    run(t, i, generate_ops(rng, ref[i]));
+    if (HasFatalFailure()) return;
+  }
+  // Both outcomes, and every kind of rejection, were exercised.
+  EXPECT_GT(rejected, std::uint64_t{kTransactions} / 5);
+  EXPECT_LT(rejected, std::uint64_t{kTransactions} * 4 / 5);
+  for (const auto& [text, seen] : kinds) {
+    EXPECT_GT(seen, 10) << text;
+  }
+  EXPECT_EQ(engine.stats().cross_session_deltas, 0u);
 }
 
 }  // namespace
