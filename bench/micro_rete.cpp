@@ -126,12 +126,14 @@ void BM_JoinTwoNotEqualTestsOver256(benchmark::State& state) {
         "(b ^k 1 ^x " + std::to_string(i % 4) + " ^y " +
         std::to_string(i % 3) + ")"));
     wmes.insert(*wm.find(id));
+    operands.clear();
     join.right_operands(node, id, operands);
     join.right_activation(node, rete::Tag::Plus, id, operands,
                           join.bucket_of(node, operands), sink);
   }
   const WmeId a = wm.add(ops5::parse_wme("(a ^k 1 ^x 0 ^y 0)"));
   wmes.insert(*wm.find(a));
+  operands.clear();
   join.left_operands(node, std::span(&a, 1), operands);
   const std::uint32_t bucket = join.bucket_of(node, operands);
   rete::Tag tag = rete::Tag::Plus;

@@ -200,7 +200,8 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" --timeout 120
 echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/) ==="
 # TSan is incompatible with ASan/UBSan in one binary, so it gets its own
 # tree; only the multi-threaded code (SweepRunner with the baselines its
-# workers read, the pmatch worker pool) and its tests need the pass, so
+# workers read, the pmatch worker threads with their phase and round
+# barriers) and its tests need the pass, so
 # build and run just those targets.  sweep_tests includes scenarios whose
 # baseline is another scenario's trace, run at 1, 4 and 9 jobs.
 # pmatch_tests includes the differential oracle at 1/2/4/8 worker
@@ -217,6 +218,8 @@ echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/
 # TSan-clean run as part of its acceptance).  The naive-oracle property
 # (tests/rete_oracle_test.cpp) runs the parallel engine at 2 and 4
 # threads on random programs with negation, fed in random-sized batches.
+# A race that shows in one run of three slips past a single run, so the
+# serve and pmatch suites run several times over (--gtest_repeat).
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -225,8 +228,8 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$(nproc)" --target sweep_tests pmatch_tests network_tests \
   serve_tests rete_oracle_tests mpps
 ./build-tsan/tests/sweep_tests
-./build-tsan/tests/pmatch_tests
-./build-tsan/tests/serve_tests
+./build-tsan/tests/pmatch_tests --gtest_repeat=3
+./build-tsan/tests/serve_tests --gtest_repeat=5
 ./build-tsan/tests/rete_oracle_tests --gtest_filter='*ParallelMatches*'
 # The network layer itself is single-threaded, but the sweep engine
 # replays topology configurations across worker threads (baselines

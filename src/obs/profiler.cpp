@@ -131,7 +131,7 @@ ProfileReport Profiler::report(std::size_t top_k_buckets) const {
 
   // Control lane: conflict-set merge time (runs while workers are parked,
   // so it is engine time on top of the worker walls, not inside them).
-  // Its phase spans cover each whole BSP phase (handshake → merge end)
+  // Its phase spans cover each whole BSP phase (phase start → merge end)
   // and sum to the engine wall — the only denominator the merge time may
   // be expressed as a percentage of.
   for (const ProfSpan& span : lanes_.back()->spans()) {

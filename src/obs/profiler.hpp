@@ -10,7 +10,8 @@
 // Design constraints (the PR 1 zero-cost pattern, docs/OBSERVABILITY.md):
 //   * Lanes are single-writer append-only buffers.  Each worker owns one
 //     `ProfLane`, written only by the thread running that worker's steps
-//     (its own thread, or the calling thread of a 1-thread engine), with
+//     (the calling thread for worker 0 and for every worker of a 1-thread
+//     engine, each other worker's own thread otherwise), with
 //     `steady_clock` stamps; no locks, no allocation beyond vector growth,
 //     no cross-thread writes.
 //   * Null-sink guard.  Instrumented code holds a `ProfLane*` that is
@@ -21,7 +22,7 @@
 //     walk the lanes and must only run while no instrumented phase is in
 //     flight (for pmatch: between `process_change` calls — worker writes
 //     are sequenced before the control thread's reads by the engine's
-//     phase handshake mutex).
+//     phase barrier, which every worker arrives at when its phase ends).
 #pragma once
 
 #include <array>
@@ -165,7 +166,7 @@ struct ProfileReport {
   std::uint64_t total_wall_ns = 0;          // sum of worker walls
   std::uint64_t total_unattributed_ns = 0;  // sum of worker remainders
   std::uint64_t conflict_update_ns = 0;     // control lane (== ConflictUpdate)
-  /// Sum of the control lane's phase spans: handshake start → merge end,
+  /// Sum of the control lane's phase spans: phase start → merge end,
   /// one per BSP phase.  This is engine time (the merge is inside it), so
   /// it is the denominator conflict_update_pct() normalizes against —
   /// dividing the control-thread merge by a *worker* wall is how the

@@ -120,6 +120,7 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       owner_map_(assignment_.map_for(0)),
       conflict_([&net](ProductionId pid) { return net.specificity(pid); }),
       wmes_(net.slot_attrs()),
+      phase_barrier_(static_cast<std::ptrdiff_t>(threads_)),
       round_barrier_(static_cast<std::ptrdiff_t>(threads_),
                      RoundCompletion{this}),
       mirror_(options_.metrics) {
@@ -156,43 +157,32 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
     }
   }
   if (threaded()) {
-    for (auto& worker : workers_) {
-      Worker* w = worker.get();
+    for (std::uint32_t i = 1; i < threads_; ++i) {
+      Worker* w = workers_[i].get();
       w->thread = std::thread([this, w] { worker_main(*w); });
     }
   }
 }
 
 ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
+  if (!threaded()) return;
+  stop_ = true;
+  phase_barrier_.arrive_and_wait();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
 }
 
 void ParallelEngine::worker_main(Worker& w) {
-  std::uint64_t seen = 0;
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] { return stop_ || phase_gen_ > seen; });
-      if (stop_) return;
-      seen = phase_gen_;
-    }
+    phase_barrier_.arrive_and_wait();
+    if (stop_) return;
     run_worker_phase(w);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
+    phase_barrier_.arrive_and_wait();
   }
 }
 
-void ParallelEngine::run_worker_phase(Worker& w) {
+void ParallelEngine::run_worker_phase(Worker& w) noexcept {
   // Every clock reading ends one segment and starts the next, so the
   // profiler's category spans tile the phase wall (the unattributed
   // remainder is only loop glue).  Without a profiler the loop still
@@ -252,6 +242,7 @@ ParallelEngine::Clock::time_point ParallelEngine::match_step(
     Worker& w, Clock::time_point start) {
   w.routed = 0;
   w.prof_enqueue_ns = 0;
+  w.rows[w.round & 1].clear();
   if (w.error == nullptr) {
     try {
       for (const WorkItem& item : w.current) process_item(w, item);
@@ -269,14 +260,14 @@ ParallelEngine::Clock::time_point ParallelEngine::match_step(
 
 ParallelEngine::Clock::time_point ParallelEngine::exchange_step(
     Worker& w, Clock::time_point start) {
-  recycle_items(w, w.next);
+  w.next.clear();
   // Worker order is sender order, and each box is one sender's children
   // in emission order: `next` lists the round by (sender, emission).
   std::uint64_t received = 0;
   for (const auto& sender : workers_) {
     std::vector<WorkItem>& box = sender->outbox[w.round & 1][w.index];
     if (sender->index != w.index) received += box.size();
-    for (WorkItem& item : box) w.next.push_back(std::move(item));
+    w.next.insert(w.next.end(), box.begin(), box.end());
     box.clear();
   }
   w.received.push_back(received);
@@ -298,7 +289,8 @@ ParallelEngine::Clock::time_point ParallelEngine::exchange_step(
     for (std::size_t i = 0; i < w.next.size(); ++i) {
       const WorkItem& it = w.next[i];
       seq = i > 0 && w.next[i - 1].sender == it.sender ? seq + 1 : 0;
-      ops.push_back(ScheduledOp{it.sender, seq, it.bucket, item_hash(it)});
+      ops.push_back(ScheduledOp{it.sender, seq, it.bucket,
+                                item_hash(it, token_of(it, w.round & 1))});
     }
     std::vector<std::uint32_t> order;
     sched->order_round(w.index, w.round + 1, ops, order);
@@ -320,13 +312,13 @@ void ParallelEngine::on_round_end() noexcept {
   ++rounds_executed_;
 }
 
-std::uint64_t ParallelEngine::item_hash(const WorkItem& item) {
+std::uint64_t ParallelEngine::item_hash(const WorkItem& item,
+                                        std::span<const WmeId> token) {
   std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, item.node.value());
   h = fnv_mix(h, static_cast<std::uint64_t>(item.side));
   h = fnv_mix(h, static_cast<std::uint64_t>(item.tag));
-  h = fnv_mix(h, item.wme.value());
-  for (WmeId w : item.token.wmes) h = fnv_mix(h, w.value());
+  for (WmeId w : token) h = fnv_mix(h, w.value());
   return h;
 }
 
@@ -346,10 +338,8 @@ void ParallelEngine::begin_worker_phase(Worker& w) {
   w.deltas.clear();
   w.delta_wmes.clear();
   w.received.clear();
-  recycle_items(w, w.current);
-  recycle_items(w, w.next);
-  w.pool_limit = std::max(w.pool_limit, w.taken);
-  w.taken = 0;
+  w.current.clear();
+  w.rows[1].clear();
   w.phase_activations = 0;
   w.round = 0;
   w.step_ns = 0;
@@ -366,68 +356,31 @@ void ParallelEngine::end_worker_phase(Worker& w, Clock::time_point start,
   }
 }
 
-ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
-  ++w.taken;
-  if (w.pool.empty()) return WorkItem{};
-  WorkItem item = std::move(w.pool.back());
-  w.pool.pop_back();
-  item.token.wmes.clear();
-  item.operands.clear();
-  item.parent = 0;
-  item.wme = WmeId{};
-  return item;
-}
-
-void ParallelEngine::recycle_items(Worker& w, std::vector<WorkItem>& items) {
-  // A worker recycles the items it processed but takes items for what it
-  // sends, so under one-sided cross-worker traffic the receiver retires
-  // more items than it takes and the sender takes more than it retires.
-  // A pool never needs more items than its worker has taken in one
-  // phase; the rest wait in the surplus for rebalance_pools.
-  const std::uint64_t limit = std::max(w.pool_limit, w.taken);
-  for (WorkItem& item : items) {
-    (w.pool.size() < limit ? w.pool : w.surplus).push_back(std::move(item));
-  }
-  items.clear();
-}
-
-void ParallelEngine::rebalance_pools() {
-  auto donor = workers_.begin();
-  for (auto& w : workers_) {
-    while (w->pool.size() < w->pool_limit) {
-      while (donor != workers_.end() && (*donor)->surplus.empty()) ++donor;
-      if (donor == workers_.end()) break;
-      w->pool.push_back(std::move((*donor)->surplus.back()));
-      (*donor)->surplus.pop_back();
-    }
-  }
-  for (auto& w : workers_) w->surplus.clear();
+std::span<const WmeId> ParallelEngine::token_of(const WorkItem& item,
+                                                std::uint32_t parity) const {
+  const Rows& rows = workers_[item.sender]->rows[parity];
+  return {rows.wmes.data() + item.token, item.size};
 }
 
 void ParallelEngine::seed_root(WmeId root, const AlphaSuccessor& succ,
-                               Tag tag, std::vector<rete::Value>& operands) {
+                               Tag tag) {
   const BetaNode& dest = net_.beta(succ.beta);
   const rete::JoinKernel& kernel = workers_.front()->join;
+  root_operands_.clear();
   if (succ.side == Side::Left) {
-    kernel.left_operands(dest, {&root, 1}, operands);
+    kernel.left_operands(dest, {&root, 1}, root_operands_);
   } else {
-    kernel.right_operands(dest, root, operands);
+    kernel.right_operands(dest, root, root_operands_);
   }
-  const std::uint32_t bucket = kernel.bucket_of(dest, operands);
+  const std::uint32_t bucket = kernel.bucket_of(dest, root_operands_);
   Worker& owner = *workers_[owner_map_[bucket]];
-  WorkItem item = take_item(owner);
-  item.sender = owner.index;
-  item.node = succ.beta;
-  item.side = succ.side;
-  item.tag = tag;
-  if (succ.side == Side::Left) {
-    item.token.wmes.assign(1, root);
-  } else {
-    item.wme = root;
-  }
-  std::swap(item.operands, operands);
-  item.bucket = bucket;
-  owner.current.push_back(std::move(item));
+  Rows& rows = owner.rows[1];
+  owner.current.push_back(WorkItem{0, owner.index, succ.beta, succ.side, tag,
+                                   bucket, 1, rows.wmes.size(),
+                                   rows.operands.size()});
+  rows.wmes.push_back(root);
+  rows.operands.insert(rows.operands.end(), root_operands_.begin(),
+                       root_operands_.end());
 }
 
 struct ParallelEngine::WorkerSink {
@@ -436,18 +389,16 @@ struct ParallelEngine::WorkerSink {
   std::uint64_t parent;  // the activation's provisional id
 
   void successor(NodeId node, std::span<const WmeId> token, Tag tag) {
-    WorkItem child = take_item(w);
-    child.parent = parent;
-    child.sender = w.index;
-    child.node = node;
-    child.side = Side::Left;
-    child.tag = tag;
-    // assign reuses the recycled item's capacity
-    child.token.wmes.assign(token.begin(), token.end());
+    Rows& rows = w.rows[w.round & 1];
+    const std::size_t operands = rows.operands.size();
     const BetaNode& dest = engine.net_.beta(node);
-    w.join.left_operands(dest, token, child.operands);
-    child.bucket = w.join.bucket_of(dest, child.operands);
-    engine.route(w, std::move(child));
+    w.join.left_operands(dest, token, rows.operands);
+    const std::uint32_t bucket = w.join.bucket_of(
+        dest, std::span<const rete::Value>(rows.operands).subspan(operands));
+    engine.route(w, WorkItem{parent, w.index, node, Side::Left, tag, bucket,
+                             static_cast<std::uint32_t>(token.size()),
+                             rows.wmes.size(), operands});
+    rows.wmes.insert(rows.wmes.end(), token.begin(), token.end());
   }
   void instantiation(ProductionId pid, std::span<const WmeId> token,
                      Tag tag) {
@@ -472,11 +423,17 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
   const std::uint64_t before = w.join.stats().comparisons;
   WorkerSink sink{*this, w, provisional_id};
   const BetaNode& node = net_.beta(item.node);
+  // The sink appends to this round's rows, the other parity.
+  const std::uint32_t parity = (w.round + 1) & 1;
+  const std::span<const WmeId> token = token_of(item, parity);
+  const std::span<const rete::Value> operands(
+      workers_[item.sender]->rows[parity].operands.data() + item.operands,
+      node.tests.size());
   const rete::JoinEmitted emitted =
       item.side == Side::Left
-          ? w.join.left_activation(node, item.tag, item.token.wmes,
-                                   item.operands, item.bucket, sink)
-          : w.join.right_activation(node, item.tag, item.wme, item.operands,
+          ? w.join.left_activation(node, item.tag, token, operands,
+                                   item.bucket, sink)
+          : w.join.right_activation(node, item.tag, token[0], operands,
                                     item.bucket, sink);
   if (provisional_id != 0) {
     PendingRecord& pr = w.records.emplace_back();
@@ -495,23 +452,23 @@ void ParallelEngine::process_item(Worker& w, const WorkItem& item) {
   }
 }
 
-void ParallelEngine::route(Worker& w, WorkItem item) {
+void ParallelEngine::route(Worker& w, const WorkItem& item) {
   const std::uint32_t owner = owner_map_[item.bucket];
   std::vector<WorkItem>& box = w.outbox[w.round & 1][owner];
   ++w.routed;
   if (owner == w.index) {
     ++w.wstats.local_deliveries;
-    box.push_back(std::move(item));
+    box.push_back(item);
   } else {
     ++w.wstats.messages_sent;
     if (w.lane == nullptr) {
-      box.push_back(std::move(item));
+      box.push_back(item);
     } else {
       // Cross-worker pushes nest inside the match loop; the accumulated
       // time rides on the Match span's aux and reports re-attribute it
       // to MailboxEnqueue so the categories stay disjoint.
       const auto push_start = obs::ProfLane::now();
-      box.push_back(std::move(item));
+      box.push_back(item);
       w.prof_enqueue_ns += ns_between(push_start, obs::ProfLane::now());
     }
   }
@@ -586,7 +543,6 @@ void ParallelEngine::flush() {
 void ParallelEngine::run_phase(const ops5::WmeChange* changes,
                                std::size_t count) try {
   for (auto& w : workers_) begin_worker_phase(*w);
-  rebalance_pools();
   // Per-change pre-work, in change order: the change is checked against
   // the wme table; the listener sees every change before any of the
   // batch's activations; adds enter the wme table so operands can be read
@@ -614,7 +570,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
         rete::update_conflict_set(conflict_, pid, {&root, 1}, tag);
       }
       for (const AlphaSuccessor& succ : alpha.successors) {
-        seed_root(root, succ, tag, root_operands_);
+        seed_root(root, succ, tag);
       }
     }
   }
@@ -630,11 +586,9 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
   const auto phase_wall_start =
       control_lane_ == nullptr ? Clock::time_point{} : Clock::now();
   if (threaded()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++phase_gen_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [&] { return workers_done_ == threads_; });
-    workers_done_ = 0;
+    phase_barrier_.arrive_and_wait();
+    run_worker_phase(*workers_.front());
+    phase_barrier_.arrive_and_wait();
   } else {
     if (options_.schedule != nullptr) options_.schedule->begin_phase(phases_);
     run_cooperative_phase();
@@ -647,7 +601,7 @@ void ParallelEngine::run_phase(const ops5::WmeChange* changes,
   } else {
     // Control-thread merge runs while the workers are parked, so it is
     // reported on its own lane, on top of (not inside) the worker walls.
-    // The control lane's phase spans (handshake start → merge end) are
+    // The control lane's phase spans (phase start → merge end) are
     // the engine-wall denominator percentage reports normalize the
     // conflict-update time against — which is why conflict_update_pct
     // can no longer exceed 100.
@@ -766,11 +720,7 @@ void ParallelEngine::collect_stats() {
 std::vector<WorkerStats> ParallelEngine::worker_stats() const {
   std::vector<WorkerStats> out;
   out.reserve(threads_);
-  for (const auto& w : workers_) {
-    WorkerStats s = w->wstats;
-    s.pooled_items = w->pool.size();
-    out.push_back(s);
-  }
+  for (const auto& w : workers_) out.push_back(w->wstats);
   return out;
 }
 

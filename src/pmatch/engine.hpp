@@ -19,9 +19,11 @@
 // within a sender — and let the schedule controller, if any, reorder
 // it).  Outboxes alternate by round parity, so a worker can fill round
 // r + 1's while another still gathers round r's: one barrier per round.
-// With `threads > 1` and no controller, worker threads run the steps;
-// otherwise the calling thread runs every worker's steps in index order,
-// and no thread is spawned.  Because an activation touches exactly one
+// With `threads > 1` and no controller, the calling thread runs worker 0's
+// steps and each other worker runs its own on a thread of its own, and a
+// phase barrier marks the phase's start and end; otherwise the calling
+// thread runs every worker's steps in index order, and no thread is
+// spawned.  Because an activation touches exactly one
 // left/right bucket pair and each pair has one owner, per-bucket state
 // never needs a lock; because rounds are gathered and merged in
 // deterministic order, the conflict set, trace records and activation ids
@@ -52,15 +54,14 @@
 #include <array>
 #include <barrier>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -82,8 +83,9 @@ namespace mpps::pmatch {
 
 struct ParallelOptions {
   /// Workers = match processors; must be positive.  Above 1 (and without
-  /// `schedule`) each worker runs on its own thread; at 1 the calling
-  /// thread runs the worker, so the engine spawns no thread.
+  /// `schedule`) the calling thread runs worker 0 and each other worker
+  /// runs on its own thread, so the engine spawns threads - 1; at 1 the
+  /// calling thread runs the worker, so the engine spawns no thread.
   std::uint32_t threads = 2;
   /// Buckets per memory side; 0 ⇒ inherit rete::EngineOptions::num_buckets
   /// through `parallel_engine_factory` (256 when constructed directly).
@@ -150,14 +152,13 @@ struct WorkerStats {
   std::uint64_t local_deliveries = 0;   // children kept on this worker
   std::uint64_t max_mailbox_depth = 0;  // most items received in a round
   std::uint64_t mailbox_overflows = 0;  // received beyond mailbox_capacity
-  std::uint64_t pooled_items = 0;       // recycled work items held for reuse
 };
 
 class ParallelEngine final : public rete::MatchEngine {
  public:
   /// The network must outlive the engine.  Throws what
-  /// `options.validate()` throws.  Spawns the worker threads when
-  /// `threads > 1` and no `schedule` is set.
+  /// `options.validate()` throws.  Spawns a thread for each worker but
+  /// worker 0 when `threads > 1` and no `schedule` is set.
   explicit ParallelEngine(const rete::Network& net,
                           ParallelOptions options = {});
   ~ParallelEngine() override;
@@ -227,18 +228,33 @@ class ParallelEngine final : public rete::MatchEngine {
   [[nodiscard]] std::uint64_t changes() const { return changes_; }
 
  private:
-  /// One activation in flight: the unit an outbox carries.
+  /// One activation in flight: the unit an outbox carries.  Its token
+  /// (a right item's is its wme) is the `size` wmes at `token`, and the
+  /// destination node's test operands, equality key first, are at
+  /// `operands`, in its sender's rows for the round that made it (see
+  /// Worker::rows).
   struct WorkItem {
     std::uint64_t parent = 0;  // provisional id; 0 ⇒ constant-test root
     std::uint32_t sender = 0;  // the emitting worker (a root's owner)
     NodeId node;
     rete::Side side = rete::Side::Left;
     rete::Tag tag = rete::Tag::Plus;
-    rete::Token token;               // left items
-    WmeId wme;                       // right items (roots only)
-    // The destination node's test operands, equality key first.
-    std::vector<rete::Value> operands;
     std::uint32_t bucket = 0;
+    std::uint32_t size = 0;
+    std::size_t token = 0;
+    std::size_t operands = 0;
+  };
+  static_assert(std::is_trivially_copyable_v<WorkItem>);
+
+  /// The tokens and operands of the items one worker made in one round.
+  struct Rows {
+    std::vector<WmeId> wmes;
+    std::vector<rete::Value> operands;
+
+    void clear() {
+      wmes.clear();
+      operands.clear();
+    }
   };
 
   /// A completed activation awaiting the deterministic merge.
@@ -280,14 +296,13 @@ class ParallelEngine final : public rete::MatchEngine {
     // every gather of round r ends before round r + 1's barrier, which
     // comes before round r + 2 writes outbox[r & 1] again.
     std::array<std::vector<std::vector<WorkItem>>, 2> outbox;
+    // The tokens and operands of round r's children, in rows[r & 1], and
+    // of the roots the control thread hands this worker, in rows[1]; so
+    // an item processed in round r reads its sender's rows[(r + 1) & 1].
+    // Round r + 1 clears rows[(r + 1) & 1] before it writes them, after
+    // round r's barrier has seen every read of them end.
+    std::array<Rows, 2> rows;
     std::uint64_t routed = 0;  // children routed this round
-    std::vector<WorkItem> pool;  // retired items recycled to kill per-
-                                 // activation token/key allocations
-    // Retired items beyond pool_limit, kept for the workers that take
-    // more items than they retire (see rebalance_pools).
-    std::vector<WorkItem> surplus;
-    std::uint64_t taken = 0;       // items taken this phase
-    std::uint64_t pool_limit = 0;  // most items taken in any one phase
     std::vector<PendingRecord> records;  // only while a listener is set
     std::vector<ConflictDelta> deltas;
     std::vector<WmeId> delta_wmes;  // the deltas' tokens, back to back
@@ -302,7 +317,7 @@ class ParallelEngine final : public rete::MatchEngine {
     obs::ProfLane* lane = nullptr;    // null ⇒ profiling off
     std::uint64_t prof_enqueue_ns = 0;  // per-round cross-worker push time
     std::exception_ptr error;  // first match-step failure this phase
-    std::thread thread;        // only with worker threads
+    std::thread thread;  // with worker threads, every worker but 0
 
     Worker(std::uint32_t idx, const rete::WmeTable& wmes,
            std::uint32_t num_buckets, std::uint32_t workers)
@@ -316,9 +331,10 @@ class ParallelEngine final : public rete::MatchEngine {
     void operator()() noexcept { engine->on_round_end(); }
   };
 
-  /// The join kernel's sink on a worker: a child becomes a pooled
-  /// WorkItem routed to its bucket's owner, an instantiation a
-  /// ConflictDelta for the merge, its token appended to `delta_wmes`.
+  /// The join kernel's sink on a worker: a child becomes a WorkItem, its
+  /// token and operands appended to the round's rows, routed to its
+  /// bucket's owner; an instantiation a ConflictDelta for the merge, its
+  /// token appended to `delta_wmes`.
   struct WorkerSink;
 
   struct Instruments {
@@ -341,20 +357,25 @@ class ParallelEngine final : public rete::MatchEngine {
   }
   /// Throws if a failed phase poisoned the engine.
   void require_usable() const;
+  /// A worker thread's body: between the phase barrier's start and end
+  /// arrivals, one run_worker_phase.
   void worker_main(Worker& w);
   /// Runs `count` consecutive WM changes as one fused BSP phase (the
   /// single control-side path behind process_change / process_changes /
   /// flush).  Seeds round 0, has the rounds driven, then merges.
   void run_phase(const ops5::WmeChange* changes, std::size_t count);
   /// Reads one constant-test root's operands, buckets it and appends it
-  /// to its bucket owner's round 0.
-  void seed_root(WmeId root, const rete::AlphaSuccessor& succ, rete::Tag tag,
-                 std::vector<rete::Value>& operands);
-  /// The two ways to run a phase's rounds.  A worker thread runs its own
-  /// match step, waits at the round barrier, then runs its exchange step;
-  /// the cooperative loop runs every worker's match step, then every
-  /// worker's exchange step, on the calling thread, in index order.
-  void run_worker_phase(Worker& w);
+  /// to its bucket owner's round 0 and rows[1].
+  void seed_root(WmeId root, const rete::AlphaSuccessor& succ, rete::Tag tag);
+  /// The two ways to run a phase's rounds.  A worker (worker 0 on the
+  /// calling thread, the others on their own) runs its own match step,
+  /// waits at the round barrier, then runs its exchange step; the
+  /// cooperative loop runs every worker's match step, then every worker's
+  /// exchange step, on the calling thread, in index order.  A worker
+  /// keeps a match step's failure in `error`, so nothing here throws but
+  /// a failed allocation, which ends the process as it would on a worker
+  /// thread.
+  void run_worker_phase(Worker& w) noexcept;
   void run_cooperative_phase();
   /// The two halves of one worker's round, shared by both loops.  Each
   /// starts at `start` (the clock reading that ended the worker's previous
@@ -369,33 +390,27 @@ class ParallelEngine final : public rete::MatchEngine {
   /// completion step; the cooperative loop calls it between the match and
   /// exchange steps.
   void on_round_end() noexcept;
-  /// Resets a worker's per-phase state and recycles its last phase's
-  /// items; every phase starts with it.
+  /// Resets a worker's per-phase state; every phase starts with it.
   static void begin_worker_phase(Worker& w);
-  /// Moves the workers' surplus items into the pools below their limit,
-  /// and frees what no pool needs.  The control thread runs it at phase
-  /// start, while the workers are parked.
-  void rebalance_pools();
   /// Charges one phase's wall to the worker's busy/idle counters and
   /// profiler lane.
   static void end_worker_phase(Worker& w, Clock::time_point start,
                                Clock::time_point end, std::uint64_t idle_ns);
-  /// Pops a recycled WorkItem (token/key capacity intact) or default-
-  /// constructs one.
-  [[nodiscard]] static WorkItem take_item(Worker& w);
-  /// Moves the items of `items` into the worker's pool, up to its
-  /// pool_limit (the rest into its surplus), and clears it.
-  static void recycle_items(Worker& w, std::vector<WorkItem>& items);
+  /// The token of an item whose sender made it in a round of parity
+  /// `parity` (a root: 1).
+  [[nodiscard]] std::span<const WmeId> token_of(const WorkItem& item,
+                                                std::uint32_t parity) const;
   void process_item(Worker& w, const WorkItem& item);
-  void route(Worker& w, WorkItem item);
+  void route(Worker& w, const WorkItem& item);
 
   void merge_phase();
   /// Content hashes feeding ScheduledOp: `item_hash` identifies a round
-  /// item's full effect (node, side, tag, payload); the delta hashes
+  /// item's full effect (node, side, tag, token); the delta hashes
   /// identify a conflict delta with (`identity`) and without
   /// (`dependence`) its +/- tag — deltas sharing the dependence hash are
   /// the add/remove pair of one instantiation and must stay ordered.
-  [[nodiscard]] static std::uint64_t item_hash(const WorkItem& item);
+  [[nodiscard]] static std::uint64_t item_hash(const WorkItem& item,
+                                               std::span<const WmeId> token);
   [[nodiscard]] static std::uint64_t delta_identity_hash(
       const MergedDelta& d);
   [[nodiscard]] static std::uint64_t delta_dependence_hash(
@@ -417,14 +432,12 @@ class ParallelEngine final : public rete::MatchEngine {
   std::vector<rete::Value> root_operands_;  // seed_root's scratch
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Phase handshake (worker threads only): control seeds round 0 and
-  // bumps the generation; workers run the phase; the last one to finish
-  // wakes the control thread.
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t phase_gen_ = 0;
-  std::uint32_t workers_done_ = 0;
+  // Phase barrier (worker threads only): every worker arrives once when
+  // the control thread has seeded round 0 and once when its phase ends,
+  // so the control thread's writes before a phase and the workers' writes
+  // during it are each sequenced before the other side reads them.  The
+  // destructor sets `stop_` and arrives in place of a phase start.
+  std::barrier<> phase_barrier_;
   bool stop_ = false;
 
   // Round machinery.  `phase_done_`/`rounds_executed_` are written only by

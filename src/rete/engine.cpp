@@ -119,6 +119,7 @@ void Engine::activate(const Pending& p) {
   // The sink appends to queue_wmes_, so the token is copied out first.
   const WmeId* first = queue_wmes_.data() + p.begin;
   token_.assign(first, first + p.size);
+  operands_.clear();
   if (p.side == Side::Left) {
     join_.left_operands(node, token_, operands_);
   } else {

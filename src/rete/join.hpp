@@ -96,20 +96,19 @@ class JoinKernel {
   }
 
   /// The operands of `token` arriving at `node`'s left input, one per
-  /// test, written into `out` (its capacity is reused).
+  /// test, appended to `out`.
   void left_operands(const BetaNode& node, std::span<const WmeId> token,
                      std::vector<Value>& out) const {
-    out.clear();
     for (const JoinTest& test : node.tests) {
       out.push_back(wmes_.value(wmes_.row(token[test.left_pos]),
                                 test.left_slot));
     }
   }
 
-  /// The operands of wme `wme` arriving at `node`'s right input.
+  /// The operands of wme `wme` arriving at `node`'s right input, appended
+  /// to `out`.
   void right_operands(const BetaNode& node, WmeId wme,
                       std::vector<Value>& out) const {
-    out.clear();
     const std::uint32_t row = wmes_.row(wme);
     for (const JoinTest& test : node.tests) {
       out.push_back(wmes_.value(row, test.right_slot));

@@ -127,7 +127,7 @@ std::uint64_t parallel_second_pass_allocations(
   const auto pass = [&] {
     for (const ops5::WmeChange& change : changes) engine.process_change(change);
   };
-  pass();  // warm-up: memories, item pools and phase scratch reach capacity
+  pass();  // warm-up: memories, item rows and phase scratch reach capacity
   const std::uint64_t allocations = allocations_in(pass);
   EXPECT_EQ(engine.phases(), 2 * changes.size());
   EXPECT_TRUE(engine.conflict_set().empty());
@@ -155,8 +155,8 @@ TEST(Allocations, ParallelPhasesAllocateNothing) {
   for (const std::uint32_t threads : {1u, 2u}) {
     // The `never` program of the test above: 128 phases that reach no
     // conflict set take their scratch from the engine, not the heap.  At
-    // 2 threads the traffic is one-sided, so the items one worker retires
-    // must reach the pool of the worker that takes them.
+    // 2 threads the traffic is one-sided: each item is a record in its
+    // receiver's queue, its token and operands in its sender's rows.
     EXPECT_EQ(parallel_second_pass_allocations(
                   "(p never (a ^k <x> ^v <v>) (b ^k <x> ^v <> <v>)"
                   " (c ^k <x>) --> (halt))",

@@ -216,8 +216,9 @@ std::size_t live_threads() {
 TEST(PmatchSchedule, ControlledEngineSpawnsNoThreads) {
   // Under a controller, and at one thread, the calling thread runs every
   // worker's steps: constructing the engine and running a phase must not
-  // start a thread.  A 2-thread engine without a controller shows that
-  // the count sees the worker threads it does start.
+  // start a thread.  Without a controller the calling thread runs worker
+  // 0, so a 2- and a 4-thread engine start 1 and 3 threads, which shows
+  // that the count sees the worker threads an engine does start.
   if (!std::filesystem::is_directory("/proc/self/task")) {
     GTEST_SKIP() << "/proc/self/task is not available";
   }
@@ -226,10 +227,13 @@ TEST(PmatchSchedule, ControlledEngineSpawnsNoThreads) {
   IdentityControl control;
   pmatch::ParallelOptions one_thread = join_phase_options(nullptr);
   one_thread.threads = 1;
+  pmatch::ParallelOptions four_threads = join_phase_options(nullptr);
+  four_threads.threads = 4;
   const std::pair<pmatch::ParallelOptions, std::size_t> cases[] = {
       {join_phase_options(&control), 0},
       {one_thread, 0},
-      {join_phase_options(nullptr), 2},
+      {join_phase_options(nullptr), 1},
+      {four_threads, 3},
   };
   for (const auto& [popts, spawned] : cases) {
     SCOPED_TRACE(std::to_string(popts.threads) + " threads, " +

@@ -139,7 +139,6 @@ TEST_P(WorkerStatsInvariants, CountersStableAcrossRepeatedRuns) {
               second.workers[w].messages_sent);
     EXPECT_EQ(first.workers[w].local_deliveries,
               second.workers[w].local_deliveries);
-    EXPECT_EQ(first.workers[w].pooled_items, second.workers[w].pooled_items);
   }
 }
 
@@ -235,78 +234,13 @@ TEST(WorkerStatsByHand, LocalDeliveriesAreNotReceipts) {
   EXPECT_EQ(depth.sum(), 0);
 }
 
-// --- Item pools under one-sided traffic -------------------------------------
-// A worker recycles the work items it processed but takes items for the
-// children it sends, so a worker that receives more than it sends gains
-// pooled items every phase.  The pools must stop growing once a periodic
-// change stream has shown them its largest phase.
+// --- Roots go to their bucket's owner --------------------------------------
 
-constexpr const char* kTwoJoinSource =
-    "(p chain (a ^k <x>) (b ^k <x>) (c ^k <x>) --> (halt))\n";
-
-/// Builds the chain a-b-c on key `k` and tears it down, one change per
-/// phase.  Both joins emit on key `k`, so every cross-worker message
-/// goes from the first join's owner to the second's.
-std::vector<ops5::WmeChange> chain_period(int k) {
-  ops5::WorkingMemory wm;
-  std::vector<WmeId> ids;
-  for (const char* cls : {"a", "b", "c"}) {
-    ids.push_back(wm.add(ops5::parse_wme("(" + std::string(cls) + " ^k " +
-                                         std::to_string(k) + ")")));
-  }
-  for (const WmeId id : ids) wm.remove(id);
-  return wm.drain_changes();
-}
-
-std::uint64_t pooled_total(const pmatch::ParallelEngine& engine) {
-  std::uint64_t total = 0;
-  for (const pmatch::WorkerStats& w : engine.worker_stats()) {
-    total += w.pooled_items;
-  }
-  return total;
-}
-
-TEST(WorkerPools, PooledItemsStopGrowingUnderOneSidedTraffic) {
-  const rete::Network net =
-      rete::Network::compile(ops5::parse_program(kTwoJoinSource));
-  pmatch::ParallelOptions popts;
-  popts.threads = 2;
-  // Pick a key whose two joins land on different workers, so exactly one
-  // worker sends messages.
-  std::vector<ops5::WmeChange> period;
-  for (int k = 0; k < 32 && period.empty(); ++k) {
-    pmatch::ParallelEngine probe(net, popts);
-    const std::vector<ops5::WmeChange> changes = chain_period(k);
-    for (const ops5::WmeChange& change : changes) probe.process_change(change);
-    const std::vector<pmatch::WorkerStats> ws = probe.worker_stats();
-    if ((ws[0].messages_sent == 0) != (ws[1].messages_sent == 0)) {
-      period = changes;
-    }
-  }
-  ASSERT_FALSE(period.empty()) << "no key gives one-sided traffic";
-
-  pmatch::ParallelEngine engine(net, popts);
-  const auto run_periods = [&](int periods) {
-    for (int i = 0; i < periods; ++i) {
-      for (const ops5::WmeChange& change : period) {
-        engine.process_change(change);
-      }
-    }
-  };
-  run_periods(4);
-  const std::uint64_t after_n = pooled_total(engine);
-  run_periods(4);
-  EXPECT_GT(after_n, 0u);
-  EXPECT_EQ(pooled_total(engine), after_n)
-      << "pools grew between phase " << 4 * period.size() << " and "
-      << 8 * period.size();
-}
-
-TEST(WorkerPools, OnlyTheOwnerTakesAnItemForARoot) {
+TEST(WorkerStatsByHand, OnlyTheOwnerActivatesARoot) {
   // Each root is keyed once and handed to its bucket's owner, so a worker
-  // that owns no bucket never takes (and so never pools) a work item.
-  const rete::Network net =
-      rete::Network::compile(ops5::parse_program(kTwoJoinSource));
+  // that owns no bucket never runs an activation.
+  const rete::Network net = rete::Network::compile(ops5::parse_program(
+      "(p chain (a ^k <x>) (b ^k <x>) (c ^k <x>) --> (halt))\n"));
   constexpr std::uint32_t kBuckets = 16;
   pmatch::ParallelOptions popts;
   popts.threads = 4;
@@ -327,10 +261,9 @@ TEST(WorkerPools, OnlyTheOwnerTakesAnItemForARoot) {
   engine.flush();
   const std::vector<pmatch::WorkerStats> ws = engine.worker_stats();
   ASSERT_EQ(ws.size(), 4u);
-  EXPECT_GT(ws[0].pooled_items, 0u);
+  EXPECT_GT(ws[0].activations, 0u);
   for (std::uint32_t w = 1; w < 4; ++w) {
     EXPECT_EQ(ws[w].activations, 0u) << "worker " << w;
-    EXPECT_EQ(ws[w].pooled_items, 0u) << "worker " << w;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <iterator>
 #include <memory>
@@ -455,6 +456,13 @@ std::vector<GenOp> generate_ops(Rng& rng, const RefSession& s) {
 }
 
 TEST(ServeEngine, AdmissionAgreesWithACopyingReference) {
+  // Every rejection this thread reads, kept until the engine has joined
+  // its dispatcher: the dispatcher drops its reference to the exception
+  // when admit's catch ends, and the count that orders that release
+  // before this thread's read of the text lives in the uninstrumented
+  // runtime, so TSan would see the last release, on the dispatcher, race
+  // the read.  Declared before the engine, it is released after it.
+  std::vector<std::exception_ptr> rejections;
   ServeEngine engine(ops5::parse_program(kPairProgram));
   constexpr std::uint32_t kSessions = 3;
   constexpr int kTransactions = 2400;
@@ -507,6 +515,7 @@ TEST(ServeEngine, AdmissionAgreesWithACopyingReference) {
         added.push_back(id.value());
       }
     } catch (const UsageError& e) {
+      rejections.push_back(std::current_exception());
       error = e.what();
     }
     if (!expected.error.empty()) ++rejected;
